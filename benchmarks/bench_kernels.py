@@ -138,8 +138,7 @@ def _lu_fixture(n, m, seed=140):
     from fractions import Fraction
 
     from repro.core.programs import IP3Builder
-    from repro.lp.revised import _RevisedSolver, solve_standard_revised
-    from repro.lp.simplex import standard_form
+    from repro.lp.simplex import _RevisedSolver, solve_standard, standard_form
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m)
     builder = IP3Builder(inst)
@@ -147,7 +146,7 @@ def _lu_fixture(n, m, seed=140):
     objective = [Fraction(0)] * len(active)
     std = standard_form(coeff, senses, rhs, objective)
     solver = _RevisedSolver(std, objective, 5000, 200000, "dantzig")
-    result = solve_standard_revised(coeff, senses, rhs, objective)
+    result = solve_standard(coeff, senses, rhs, objective)
     assert result.status == "optimal"
     return solver, [solver.cols[c] for c in result.basis]
 
@@ -262,11 +261,11 @@ def _pricing_pivots(n, m, seed=140):
     pipeline (wide, degenerate), so it is where the pricing rules actually
     diverge.  Non-canonical solves (vertex identity irrelevant), so each
     rule runs free — the point of the column is the pivot-count spread,
-    with ``dantzig`` as the tableau-identical reference.
+    with ``dantzig`` (the canonical solves' rule) as the reference.
     """
     from repro._fraction import is_inf, to_fraction
     from repro.core.programs import minimal_fractional_T
-    from repro.lp.revised import PRICINGS, solve_standard_revised
+    from repro.lp.simplex import PRICINGS, solve_standard
     from repro.rounding.lst import build_unrelated_lp
 
     inst = random_hierarchical(rng_from_seed(seed), n=n, m=m).with_singletons()
@@ -283,7 +282,7 @@ def _pricing_pivots(n, m, seed=140):
     coeff, senses, rhs, objective = lp.to_standard_rows()
     out = {}
     for pricing in PRICINGS:
-        result = solve_standard_revised(
+        result = solve_standard(
             coeff, senses, rhs, objective, pricing=pricing, canonical=False
         )
         assert result.status == "optimal"

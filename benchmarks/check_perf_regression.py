@@ -25,7 +25,9 @@ deterministic for a given code generation and instance, so — unlike
 seconds — they compare exactly across machines.  A fresh row may exceed
 its baseline by at most ``--max-counter-growth`` (ratio) plus
 ``--counter-slack`` (absolute, so a 0-refactorization baseline doesn't
-forbid 1).  Rows whose baseline predates counter recording are skipped.
+forbid 1).  A baseline without any counter rows (it predates counter
+recording) skips the counter gate; a baseline whose counter rows match no
+fresh row fails it, so a relabelled kernel or shape cannot pass unseen.
 
 Usage::
 
@@ -116,14 +118,22 @@ def check_counters(
     """Gate pivot/refactorization counts per (backend, kernel, shape) row.
 
     Returns the number of violations (0 = pass).  A fresh value passes when
-    ``fresh <= baseline * max_growth + slack``.
+    ``fresh <= baseline * max_growth + slack``.  Skipped only when the
+    baseline carries no counter rows at all; counter rows that match no
+    fresh row count as one violation.
     """
     base = _counter_rows(baseline)
+    if not base:
+        print("counter gate: baseline carries no counters — skipped")
+        return 0
     new = _counter_rows(fresh)
     common = sorted(set(base) & set(new))
     if not common:
-        print("counter gate: no common rows carry counters — skipped")
-        return 0
+        print(
+            f"FAIL: counter gate: none of the baseline's {len(base)} counter "
+            f"rows match a fresh (backend, kernel, n, m) row"
+        )
+        return 1
     failures = 0
     for key in common:
         backend, kernel, n, m = key

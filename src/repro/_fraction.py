@@ -24,7 +24,7 @@ INF = math.inf
 # ---------------------------------------------------------------------------
 # Optional big-integer backend
 # ---------------------------------------------------------------------------
-# The exact LP kernels spend their time multiplying scaled integers whose
+# The exact LP simplex spends its time multiplying scaled integers whose
 # bit-length grows with pivot depth.  gmpy2's mpz (GMP) multiplies large
 # integers asymptotically faster than CPython's int; when the package is
 # importable we route kernel integers through it.  mpz registers as

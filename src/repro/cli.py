@@ -44,12 +44,12 @@ Backend guide: ``hybrid`` (default) = HiGHS speed with exact certification;
 ``exact`` = pure rational simplex; ``scipy`` = uncertified floats (fast,
 re-checked at the call sites that need exactness).
 
-Orthogonal to the backend, ``--kernel revised|tableau`` (on ``experiments``
-and ``solve``) selects the exact pivoting engine — ``revised`` (default) is
-the factorized-basis simplex, ``tableau`` the dense fraction-free tableau —
-and ``--profile`` prints aggregated solver counters (solves, pivots,
-refactorizations, warm-start hits, probe shortcuts, cache hits/misses)
-after the run, so perf claims can cite counters instead of wall-clock.
+Every exact solve runs the one fraction-free revised simplex; canonical
+solves pin Dantzig pricing for a deterministic vertex, and ``"lex"`` solves
+return the warm-start-independent lex-min vertex.  ``--profile`` prints
+aggregated solver counters (solves, pivots, refactorizations, warm-start
+hits, probe shortcuts, cache hits/misses) after the run, so perf claims can
+cite counters instead of wall-clock.
 
 ``--cache PATH`` (on ``experiments`` and ``solve``) opens a persistent
 solve cache at PATH and makes it the process default: every
@@ -408,7 +408,7 @@ def _demo_instance(name: str):
     return None
 
 
-def _solve_demo(name: str, backend: str = "hybrid", kernel: Optional[str] = None) -> int:
+def _solve_demo(name: str, backend: str = "hybrid") -> int:
     from .analysis.gantt import render_gantt
     from .session import Session
 
@@ -418,7 +418,7 @@ def _solve_demo(name: str, backend: str = "hybrid", kernel: Optional[str] = None
         return 2
 
     print(f"instance: {instance}")
-    with Session(backend=backend, kernel=kernel) as session:
+    with Session(backend=backend) as session:
         exact = session.solve_exact(instance)
         schedule = session.template(instance, exact.assignment, exact.optimum)
         print(f"\nexact optimum: {exact.optimum}")
@@ -503,12 +503,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         choices=("hybrid", "exact", "scipy"),
         default=None,
         help="LP backend override (default: each experiment's own)",
-    )
-    exp.add_argument(
-        "--kernel",
-        choices=("revised", "tableau"),
-        default=None,
-        help="exact pivoting kernel for every solve (default: revised)",
     )
     exp.add_argument(
         "--profile", action="store_true",
@@ -617,12 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="LP backend for the 2-approximation (default: hybrid)",
     )
     solve.add_argument(
-        "--kernel",
-        choices=("revised", "tableau"),
-        default=None,
-        help="exact pivoting kernel for every solve (default: revised)",
-    )
-    solve.add_argument(
         "--profile", action="store_true",
         help="print aggregated solver counters after the run",
     )
@@ -685,10 +673,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub.add_parser("version", help="print the package version")
 
     args = parser.parse_args(argv)
-    if getattr(args, "kernel", None):
-        from .lp.simplex import set_default_kernel
-
-        set_default_kernel(args.kernel)
     cache = None
     if getattr(args, "cache", None):
         from .session import set_default_cache
@@ -762,7 +746,7 @@ def _dispatch(args, parser) -> int:
             failures=args.failures,
         )
     if args.command == "solve":
-        return _solve_demo(args.demo, backend=args.backend, kernel=args.kernel)
+        return _solve_demo(args.demo, backend=args.backend)
     if args.command == "analyze":
         return _analyze(
             args.demo, args.topology, args.utilization, args.seed,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import RoundingError
@@ -92,7 +92,6 @@ def two_approximation(
     backend: str = "hybrid",
     verify: bool = True,
     use_pushdown_certificate: bool = False,
-    kernel: Optional[str] = None,
 ) -> TwoApproxResult:
     """Run the Theorem V.2 algorithm on a hierarchical instance.
 
@@ -113,16 +112,12 @@ def two_approximation(
         solution at ``T*`` and check it lands on singletons.  This is the
         proof's step 3; the pipeline itself only needs its *existence*, so
         the check is optional (tests enable it).
-    kernel:
-        Exact pivoting kernel for every solve in the pipeline (``None`` =
-        the process default); threaded so a
-        :class:`~repro.session.Session` can pin it without global state.
     """
     ext = instance.with_singletons()
-    T_star = minimal_fractional_T(ext, backend=backend, kernel=kernel)
+    T_star = minimal_fractional_T(ext, backend=backend)
 
     if use_pushdown_certificate:
-        x = feasible_lp_solution(ext, T_star, backend=backend, kernel=kernel)
+        x = feasible_lp_solution(ext, T_star, backend=backend)
         if x is None:  # pragma: no cover - minimal_fractional_T certified it
             raise RoundingError(f"LP infeasible at its own optimum T*={T_star}")
         pushed = push_down(ext, x, T_star)
@@ -139,7 +134,7 @@ def two_approximation(
                 row[i] = to_fraction(value)
         p_matrix[j] = row
 
-    mapping = lst_round(p_matrix, T_star, backend=backend, kernel=kernel)
+    mapping = lst_round(p_matrix, T_star, backend=backend)
     assignment = Assignment({j: frozenset([i]) for j, i in mapping.items()})
 
     T_schedule = min_T_for_assignment(ext, assignment)

@@ -1,8 +1,9 @@
-"""LP/ILP substrate: model builder, exact simplex kernels, scipy + hybrid backends, B&B.
+"""LP/ILP substrate: model builder, exact simplex, scipy + hybrid backends, B&B.
 
-Two exact pivoting kernels share one contract (see
-:func:`~repro.lp.simplex.solve_standard`): the dense fraction-free
-``tableau`` and the factorized-basis ``revised`` simplex (the default).
+One exact entry point, :func:`~repro.lp.simplex.solve_standard`, runs the
+fraction-free revised simplex over a factorized basis.  ``canonical=True``
+pins Dantzig pricing for a deterministic vertex; ``canonical="lex"``
+returns the lex-min optimal vertex, independent of warm starts.
 """
 
 from .basis import LUBasis
@@ -10,16 +11,7 @@ from .branch_and_bound import BnBResult, solve_binary_ilp
 from .certificates import farkas_certifies
 from .hybrid import HAVE_SCIPY, solve_standard_hybrid
 from .model import LinearProgram, LPSolution, Row
-from .revised import PRICINGS, solve_standard_revised
-from .simplex import (
-    KERNELS,
-    SimplexResult,
-    get_default_kernel,
-    get_default_pricing,
-    set_default_kernel,
-    set_default_pricing,
-    solve_standard,
-)
+from .simplex import PRICINGS, SimplexResult, solve_standard
 from .solve import BACKENDS, feasible_point, feasible_point_rows, is_feasible, solve_lp
 from .stats import SolverStats, collect_stats
 from .warm import WarmState
@@ -32,7 +24,6 @@ else:  # pragma: no cover - scipy is present in CI images
 __all__ = [
     "BACKENDS",
     "BnBResult",
-    "KERNELS",
     "LPSolution",
     "LUBasis",
     "LinearProgram",
@@ -45,15 +36,10 @@ __all__ = [
     "farkas_certifies",
     "feasible_point",
     "feasible_point_rows",
-    "get_default_kernel",
-    "get_default_pricing",
     "is_feasible",
-    "set_default_kernel",
-    "set_default_pricing",
     "solve_binary_ilp",
     "solve_lp",
     "solve_standard",
     "solve_standard_float",
     "solve_standard_hybrid",
-    "solve_standard_revised",
 ]

@@ -1,16 +1,16 @@
-"""Fraction-free factorized-basis kernel for the revised exact simplex.
+"""Fraction-free factorized basis for the revised exact simplex.
 
-The dense tableau of :mod:`repro.lp.simplex` updates **every** column on
-every pivot — ``O(rows·cols)`` big-integer work per pivot, even though a
-simplex iteration only ever reads one entering column and one cost row.
-The revised simplex (:mod:`repro.lp.revised`) instead maintains a
+A dense simplex dictionary updates **every** column on every pivot —
+``O(rows·cols)`` big-integer work per pivot, even though a simplex
+iteration only ever reads one entering column and one cost row.  The
+revised simplex (:mod:`repro.lp.simplex`) instead maintains a
 factorization of the *basis* alone; per-pivot work drops to ``O(rows²)``
 plus the sparse pricing of candidate columns.
 
 Representation
 --------------
 :class:`LUBasis` keeps the basis inverse in Edmonds' integer-preserving
-form, the same arithmetic lrs uses for the full tableau:
+form, the same arithmetic lrs uses for its full dictionary:
 
     B⁻¹ = W / den,         W integer (rows² entries),  den > 0
 
@@ -48,7 +48,7 @@ of mutating them, so :meth:`clone` is ``O(rows)`` (it shares row objects)
 Operations
 ----------
 ``ftran(a)``
-    Forward transform: the den-scaled tableau column ``W·a`` of a sparse
+    Forward transform: the den-scaled dictionary column ``W·a`` of a sparse
     column ``a`` — ``O(rows · nnz(a))``.
 ``btran(c_B)``
     Backward transform: the den-scaled dual row ``c_Bᵀ·W`` of a sparse
@@ -64,8 +64,7 @@ Operations
     carried :class:`~repro.lp.warm.WarmState` whose structure witness does
     not match is re-anchored: the labelled basis is factorized
     **directly** — ``O(rows³)``, independent of the total column count —
-    instead of being pushed in through ``O(rows)`` full-tableau pivots of
-    ``O(rows·cols)`` each.
+    instead of being pushed in through ``O(rows)`` ratio-test pivots.
 
 Because the arithmetic is exact, periodic refactorization is *not* needed
 for numerical hygiene (there is no drift to flush, and a from-scratch
@@ -174,7 +173,7 @@ class LUBasis:
     # ------------------------------------------------------------------
 
     def ftran(self, col: Mapping[int, int]) -> List[int]:
-        """``W·a`` for a sparse column *a* — the den-scaled tableau column."""
+        """``W·a`` for a sparse column *a* — the den-scaled dictionary column."""
         items = [(k, v) for k, v in col.items() if v]
         cdict = dict(items)
         cget = cdict.get
@@ -235,7 +234,7 @@ class LUBasis:
         """Basis exchange pivoting on ``(row, alpha[row])``.
 
         *alpha* is the entering column's forward transform (``ftran``
-        output).  Exactly the Edmonds tableau pivot restricted to the
+        output).  Exactly the Edmonds integer pivot restricted to the
         ``W | rhs`` block; divisions are exact by the minor identity.
         Row objects are replaced, never mutated (copy-on-write for
         :meth:`clone`).

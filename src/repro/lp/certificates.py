@@ -16,7 +16,7 @@ These certificates are the currency of the incremental probe pipeline: an
 infeasible probe of a binary search hands its ``y`` to the next probe,
 which re-checks it against the *new* rows in ``O(nnz)`` rational work — if
 it still certifies, an entire exact solve is skipped (see
-:meth:`repro.core.programs.IP3Builder`).  Both exact kernels and the
+:meth:`repro.core.programs.IP3Builder`).  The exact simplex and the
 HiGHS-dual path of :func:`repro.lp.hybrid.certify_infeasible` emit their
 certificates in this one format.
 """
@@ -24,14 +24,10 @@ certificates in this one format.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, List, Sequence
 
 from .._fraction import to_fraction
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 def farkas_certifies(
@@ -55,7 +51,7 @@ def farkas_certifies(
     # magnitude cheaper than Fraction accumulation on the probe hot path.
     scale = 1
     for yi in fy:
-        scale = _lcm(scale, yi.denominator)
+        scale = lcm(scale, yi.denominator)
     y_int = [yi.numerator * (scale // yi.denominator) for yi in fy]
     column_sums: Dict[int, object] = {}
     for yi, row in zip(y_int, coeff_rows):

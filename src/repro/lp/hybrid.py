@@ -12,8 +12,8 @@ basic optimal solution at close to float speed:
 1. solve the LP with HiGHS (:func:`solve_standard_float`);
 2. rationalize the candidate and read off its support;
 3. re-solve with the **exact** fraction-free simplex, warm-started by
-   pushing the candidate's support columns into the basis first
-   (:func:`repro.lp.simplex.solve_standard` with ``warm_hints``).
+   factorizing the candidate's support columns into the basis first
+   (:func:`repro.lp.simplex.solve_standard` with ``warm_point``).
 
 Step 3 is the certificate: every number the caller sees was produced by
 exact pivoting, so feasibility, optimality and basicness hold
@@ -155,7 +155,6 @@ def solve_standard_hybrid(
     objective: Sequence[Fraction],
     warm_hints: Optional[Sequence[int]] = None,
     warm_point: Optional[Sequence[Fraction]] = None,
-    kernel: Optional[str] = None,
     warm_state=None,
     structure_token: object = None,
     canonical: "bool | str" = True,
@@ -165,12 +164,10 @@ def solve_standard_hybrid(
     The returned :class:`SimplexResult` is produced by the exact simplex in
     every path, so it carries the same guarantees as ``backend="exact"``.
     The rationalized HiGHS point (when HiGHS claims optimality) takes
-    precedence over the caller's *warm_point* as the crash-basis seed; with
-    the default ``revised`` kernel the candidate's basis is **factorized
-    directly** (``O(rows³)``, independent of the column count) instead of
-    being pushed in through full-width tableau pivots.  A claimed
-    infeasibility is accepted only with an exact Farkas certificate, which
-    is attached to the result for reuse.
+    precedence over the caller's *warm_point* as the crash-basis seed: the
+    candidate's basis is **factorized directly** (``O(rows³)``, independent
+    of the column count).  A claimed infeasibility is accepted only with an
+    exact Farkas certificate, which is attached to the result for reuse.
 
     A carried *warm_state* (see :mod:`repro.lp.warm`) is handed through to
     the exact solve, where it takes precedence over any point-based seed —
@@ -191,7 +188,7 @@ def solve_standard_hybrid(
                 )
     return solve_standard(
         coeff_rows, senses, rhs, objective,
-        warm_hints=warm_hints, warm_point=warm_point, kernel=kernel,
+        warm_hints=warm_hints, warm_point=warm_point,
         warm_state=warm_state, structure_token=structure_token,
         canonical=canonical,
     )

@@ -1,4 +1,4 @@
-"""Exact two-phase simplex over the rationals, with fraction-free pivoting.
+"""Exact revised simplex over the rationals, with fraction-free pivoting.
 
 The rounding arguments of Sections V and VI need *basic* feasible solutions:
 Lenstra–Shmoys–Tardos relies on the pseudo-forest structure of a vertex's
@@ -8,42 +8,59 @@ fractional value from numeric noise then needs tolerances that can break the
 combinatorial arguments.  This implementation is exact throughout, so support
 and fractionality are exact properties.
 
-Arithmetic: instead of a dense :class:`~fractions.Fraction` tableau (whose
-per-cell gcd normalization dominated the old hot path), the tableau is kept
-as **integers with one common denominator** — Edmonds' integer pivoting, the
-arithmetic used by lrs.  Each row is pre-scaled to integers; a pivot on
-``(r, c)`` updates every other row as
+Arithmetic: each constraint row is pre-scaled to integers and the solver
+keeps only the basis inverse, factorized in Edmonds' integer-preserving form
+(:class:`repro.lp.basis.LUBasis` — the arithmetic lrs uses), so no rational
+normalization ever happens inside the pivot loop.  An iteration
+reconstructs just what it needs:
 
-    T'[i][j] = (T[i][j]·T[r][c] − T[i][c]·T[r][j]) / d
+* the dual row ``y = c_B·B⁻¹`` by one backward transform (``btran``) of the
+  sparse basic-cost vector,
+* reduced costs ``c_j − y·a_j`` by sparse dot products against the original
+  columns (*pricing* — never materialized as a row),
+* the entering column ``B⁻¹·a_q`` by one forward transform (``ftran``),
+* the basis exchange by one ``O(rows²)`` rank-one update.
 
-where ``d`` is the previous pivot value.  The division is exact (tableau
-entries are subdeterminants of the scaled input), so no rational
-normalization ever happens inside the pivot loop; the true tableau value of
-cell ``(i, j)`` is ``T[i][j] / d`` with ``d > 0`` maintained as an invariant.
+Pricing: ``pricing="dantzig"`` prices every column and enters the most
+negative reduced cost (ties to the smallest index).  ``pricing="partial"``
+scans columns in rotating blocks and takes the Dantzig winner of the first
+block containing an improving column; it prices only a fraction of the
+columns per iteration but may land on a *different* (equally optimal)
+vertex when optima are non-unique.  Under both rules, once the pivot count
+crosses ``bland_threshold`` the rule switches to Bland's smallest-index rule,
+which cannot cycle, so termination is guaranteed.
 
-Pivot rule: Dantzig's for speed, switching to Bland's (which cannot cycle)
-once the iteration count exceeds a threshold, so termination is guaranteed.
+Vertex identity: ``canonical=True`` pins Dantzig pricing, so a program
+always yields the same deterministic vertex; ``canonical="lex"`` pivots the
+optimum to the lexicographically minimal optimal vertex, which is
+independent of the pricing rule and of any warm start.
 
 Warm starts: callers that already hold a (near-)feasible point — a prior
 solve of a neighbouring LP in a binary search, or a rationalized HiGHS
-candidate in the ``hybrid`` backend — can pass its support as
-``warm_hints``.  Hint columns are pushed into the basis by ordinary
-ratio-test pivots before the phase-1/phase-2 loops run, which preserves
-every invariant (each push is a legal simplex pivot) while typically letting
-phase 1 terminate immediately and phase 2 start at (or next to) the optimal
-vertex.
+candidate in the ``hybrid`` backend — pass it as ``warm_point`` (or its bare
+support as ``warm_hints``).  The support columns are eliminated straight
+into the basis (``O(rows³)``, independent of the column count); a crash
+that lands on an infeasible dictionary falls back to ordinary ratio-test
+pushes, which preserve feasibility unconditionally.  A carried
+:class:`~repro.lp.warm.WarmState` reinstalls a previous solve's basis.
+
+Infeasible programs return an exact Farkas certificate
+(:mod:`repro.lp.certificates`) read off the optimal phase-1 duals, so
+callers running probe sequences can re-check it against a neighbouring LP
+and skip entire solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .._fraction import to_fraction
+from .._fraction import bigint, to_fraction
 from ..exceptions import PivotLimitError, SolverError
-from .revised import PRICINGS
+from .basis import LUBasis
+from .certificates import denormalize_farkas, farkas_certifies
 from .stats import SolverStats, record
 from .warm import WarmState
 
@@ -80,47 +97,14 @@ def default_max_pivots() -> int:
     """The pivot budget solves use when no ``max_pivots`` is passed."""
     return MAX_PIVOTS_DEFAULT if _default_max_pivots is None else _default_max_pivots
 
-#: The exact pivoting kernels ``solve_standard`` dispatches between.
-KERNELS = ("revised", "tableau")
 
-#: Process-wide default kernel (the CLI's ``--kernel`` flag sets it).
-_default_kernel = "revised"
+#: Pricing rules the solver implements (see the module docstring).
+PRICINGS: Tuple[str, ...] = ("dantzig", "partial")
 
-#: Process-wide default pricing for the revised kernel when callers pass
-#: ``pricing=None`` on a **non-canonical** solve (probes, min-T bisection —
-#: the hot paths, where any optimal vertex will do).  ``partial`` is safe
-#: there, and safe even under ``canonical`` because an explicit non-Dantzig
-#: pricing gets its optimal vertex lexicographically canonicalized (see
-#: ``_RevisedSolver.canonicalize``).  Canonical solves with ``pricing=None``
-#: pin Dantzig instead, which is deterministic and kernel-invariant by
-#: construction.  The tableau kernel always prices Dantzig→Bland.
-_default_pricing = "partial"
-
-
-def set_default_kernel(kernel: str) -> None:
-    """Set the kernel used when callers pass ``kernel=None`` (the default)."""
-    global _default_kernel
-    if kernel not in KERNELS:
-        raise SolverError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    _default_kernel = kernel
-
-
-def get_default_kernel() -> str:
-    return _default_kernel
-
-
-def set_default_pricing(pricing: str) -> None:
-    """Set the revised-kernel pricing used when callers pass ``pricing=None``."""
-    global _default_pricing
-    if pricing not in PRICINGS:
-        raise SolverError(
-            f"unknown pricing {pricing!r}; choose from {PRICINGS}"
-        )
-    _default_pricing = pricing
-
-
-def get_default_pricing() -> str:
-    return _default_pricing
+#: Pricing of a **non-canonical** solve given ``pricing=None`` (probes,
+#: min-T bisection — the hot paths, where any optimal vertex will do).
+#: Canonical solves with ``pricing=None`` pin Dantzig instead.
+_PROBE_PRICING = "partial"
 
 
 @dataclass
@@ -132,22 +116,17 @@ class SimplexResult:
     pivots: int = 0
     #: Per-solve performance counters (``None`` for the float backend).
     stats: Optional[SolverStats] = None
-    #: Verified Farkas certificate (infeasible results from the revised
-    #: kernel; row-indexed in the caller's row order, see
-    #: :mod:`repro.lp.certificates`).
+    #: Verified Farkas certificate (infeasible results; row-indexed in the
+    #: caller's row order, see :mod:`repro.lp.certificates`).
     farkas: Optional[List[Fraction]] = None
     #: Carried solver state for the *next* solve (optimal results only):
-    #: the final basis as labels, the live factorized basis (revised
-    #: kernel), and the vertex.  Process-local ephemera — never serialized.
+    #: the final basis as labels, the live factorized basis, and the
+    #: vertex.  Process-local ephemera — never serialized.
     warm_state: Optional[WarmState] = None
 
     @property
     def is_optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 @dataclass
@@ -177,7 +156,7 @@ def standard_form(
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
 ) -> StandardForm:
-    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the tableau solvers."""
+    """Normalize ``min c·x s.t. rows, x ≥ 0`` for the exact and hybrid solvers."""
     n = len(objective)
     r = len(coeff_rows)
     if len(senses) != r or len(rhs) != r:
@@ -221,319 +200,6 @@ def standard_form(
         needs_artificial=needs_artificial,
         art_start=art_start,
         total_cols=total_cols,
-    )
-
-
-class _Tableau:
-    """Integer tableau with one common denominator (``den > 0``).
-
-    ``rows`` holds the constraint rows followed by one or two cost rows; the
-    true rational value of any cell is ``cell / den``.  The rhs is the last
-    column of every row.
-    """
-
-    __slots__ = (
-        "rows", "den", "basis", "num_rows", "art_start", "pivots",
-        "bland_threshold", "max_pivots", "phase",
-    )
-
-    def __init__(
-        self,
-        rows: List[List[int]],
-        basis: List[int],
-        num_rows: int,
-        art_start: int,
-        bland_threshold: int = BLAND_THRESHOLD_DEFAULT,
-        max_pivots: int = MAX_PIVOTS_DEFAULT,
-    ):
-        self.rows = rows
-        self.den = 1
-        self.basis = basis
-        self.num_rows = num_rows
-        self.art_start = art_start
-        self.pivots = 0
-        self.bland_threshold = bland_threshold
-        self.max_pivots = max_pivots
-        self.phase = 2
-
-    def pivot(self, row: int, col: int) -> None:
-        rows = self.rows
-        den = self.den
-        piv_row = rows[row]
-        piv = piv_row[col]
-        if piv == 0:
-            raise SolverError("zero pivot element")
-        for i in range(len(rows)):
-            if i == row:
-                continue
-            cur = rows[i]
-            f = cur[col]
-            if f == 0:
-                if piv != den:
-                    rows[i] = [a * piv // den if a else 0 for a in cur]
-            else:
-                rows[i] = [
-                    (a * piv - f * b) // den for a, b in zip(cur, piv_row)
-                ]
-        self.basis[row] = col
-        if piv < 0:
-            # Keep den > 0 so sign tests read directly off the entries.
-            self.den = -piv
-            self.rows = [[-a for a in rw] for rw in rows]
-        else:
-            self.den = piv
-        self.pivots += 1
-        if self.pivots > self.max_pivots:
-            raise PivotLimitError(
-                self.max_pivots, self.pivots, self.phase, kernel="tableau"
-            )
-
-    def entering(self, cost_index: int, bland: bool) -> Optional[int]:
-        """An improving non-artificial column (negative reduced cost)."""
-        cost = self.rows[cost_index]
-        limit = self.art_start
-        if bland:
-            for j in range(limit):
-                if cost[j] < 0:
-                    return j
-            return None
-        best_j: Optional[int] = None
-        best = 0
-        for j in range(limit):
-            v = cost[j]
-            if v < best:
-                best = v
-                best_j = j
-        return best_j
-
-    def leaving(self, col: int) -> Optional[int]:
-        """Min-ratio test; ties broken by smallest basis index (Bland-safe).
-
-        Ratios compare as ``b_r·a_s  vs  b_s·a_r`` — the common denominator
-        cancels, so no rationals are formed.
-        """
-        rows, basis = self.rows, self.basis
-        best_r: Optional[int] = None
-        best_b = best_a = 0
-        for r in range(self.num_rows):
-            a = rows[r][col]
-            if a <= 0:
-                continue
-            b = rows[r][-1]
-            if best_r is None:
-                best_r, best_b, best_a = r, b, a
-                continue
-            lhs = b * best_a
-            rhs = best_b * a
-            if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
-                best_r, best_b, best_a = r, b, a
-        return best_r
-
-    def push_hints(self, hints: Sequence[int]) -> None:
-        """Drive hint columns into the basis with legal ratio-test pivots.
-
-        A hint that is already basic, has no positive column entry, or lies
-        outside the column range is skipped; nothing here can violate
-        feasibility, so bad hints only cost the pivots they take.
-        """
-        in_basis = set(self.basis)
-        for col in hints:
-            if not 0 <= col < self.art_start or col in in_basis:
-                continue
-            row = self.leaving(col)
-            if row is None:
-                continue
-            old = self.basis[row]
-            self.pivot(row, col)
-            in_basis.discard(old)
-            in_basis.add(col)
-
-    def crash_basis(
-        self,
-        hints: Sequence[int],
-        std: "StandardForm",
-        eligible: Optional[Sequence[bool]] = None,
-    ) -> bool:
-        """Gaussian-eliminate hint columns straight into the basis.
-
-        Unlike :meth:`push_hints` this ignores the ratio test — each hint is
-        pivoted into one of its *structurally-owning* rows (rows where the
-        column has a non-zero coefficient in the original program, so
-        elimination fill-in cannot misroute a variable into an unrelated
-        row), artificial-basic rows first so phase 1 dissolves as a side
-        effect.  *eligible* marks the rows that are tight at the warm-start
-        point — claiming a slack row that is *not* tight would force its
-        positive slack out of the basis and land on a different (generally
-        infeasible) basic solution, so non-tight rows are never claimed.
-
-        The intermediate dictionaries may be primal infeasible, so the
-        result is accepted only if the final one is exactly feasible
-        (``b ≥ 0``) with every remaining artificial at level 0; returns
-        whether it was.  On success the caller skips phase 1 outright — this
-        is the certification step of the hybrid backend, where the hints are
-        a float solver's optimal support and one elimination pass replaces
-        both simplex phases.
-        """
-        hinted: set = set()
-        in_basis = set(self.basis)
-        skipped: List[int] = []
-        for col in hints:
-            if not 0 <= col < self.art_start or col in in_basis:
-                continue
-            best_row: Optional[int] = None
-            best_rank = 2
-            for r in range(self.num_rows):
-                if (
-                    (eligible is not None and not eligible[r])
-                    or self.basis[r] in hinted
-                    or col not in std.rows[r]
-                    or self.rows[r][col] == 0
-                ):
-                    continue
-                rank = 0 if self.basis[r] >= self.art_start else 1
-                if rank < best_rank:
-                    best_rank = rank
-                    best_row = r
-                    if rank == 0:
-                        break
-            if best_row is None:
-                skipped.append(col)
-                continue
-            in_basis.discard(self.basis[best_row])
-            self.pivot(best_row, col)
-            in_basis.add(col)
-            hinted.add(col)
-        # Mop-up pass: with the bulk of the structure placed, stragglers may
-        # pivot into eligible rows through elimination fill-in (no longer a
-        # misrouting risk — every structurally-owning row is already hinted).
-        for col in skipped:
-            best_row = None
-            for r in range(self.num_rows):
-                if (
-                    (eligible is not None and not eligible[r])
-                    or self.basis[r] in hinted
-                    or self.rows[r][col] == 0
-                ):
-                    continue
-                best_row = r
-                if self.basis[r] >= self.art_start:
-                    break
-            if best_row is None:
-                continue  # linearly dependent on the placed columns
-            in_basis.discard(self.basis[best_row])
-            self.pivot(best_row, col)
-            in_basis.add(col)
-            hinted.add(col)
-        # A "≥" row that is slack at the warm point starts artificial-basic
-        # (its slack has coefficient −1, not +1); reinstate the slack so the
-        # artificial doesn't sit at a negative level.
-        for r in range(self.num_rows):
-            if self.basis[r] >= self.art_start:
-                slack = std.slack_of_row[r]
-                if slack is not None and slack not in in_basis and self.rows[r][slack]:
-                    in_basis.discard(self.basis[r])
-                    self.pivot(r, slack)
-                    in_basis.add(slack)
-        for r in range(self.num_rows):
-            if self.rows[r][-1] < 0:
-                return False
-            if self.basis[r] >= self.art_start and self.rows[r][-1] != 0:
-                return False
-        return True
-
-    def drop_artificials(self) -> None:
-        """Compact artificial columns away once phase 1 is done.
-
-        Redundant rows can keep an artificial basic at level 0; their basis
-        markers stay ≥ ``art_start`` (skipped by extraction and never chosen
-        by the entering rule), while every row sheds the dead columns so
-        later pivots touch fewer cells.
-        """
-        art_start = self.art_start
-        self.rows = [row[:art_start] + [row[-1]] for row in self.rows]
-
-    def run_phase(self, cost_index: int) -> str:
-        self.phase = 1 if cost_index > self.num_rows else 2
-        while True:
-            bland = self.pivots >= self.bland_threshold
-            col = self.entering(cost_index, bland)
-            if col is None:
-                return "optimal"
-            row = self.leaving(col)
-            if row is None:
-                return "unbounded"
-            self.pivot(row, col)
-
-    def value(self, row: int, col: int) -> Fraction:
-        return Fraction(self.rows[row][col], self.den)
-
-
-def _build_tableau(
-    std: StandardForm,
-    objective: Sequence[Fraction],
-    bland_threshold: int = BLAND_THRESHOLD_DEFAULT,
-    max_pivots: int = MAX_PIVOTS_DEFAULT,
-) -> Tuple[_Tableau, bool]:
-    """Integer tableau for *std* with the slack/artificial starting basis.
-
-    Each constraint row is scaled by the lcm of its denominators; slack and
-    artificial variables are implicitly rescaled with their row, which keeps
-    their columns unit columns (required for the starting basis) without
-    changing the structural solution.  Returns ``(tableau, has_artificials)``
-    with the phase-2 cost row at index ``num_rows`` and, when artificials
-    exist, the reduced phase-1 cost row at index ``num_rows + 1``.
-    """
-    r, width = std.num_rows, std.total_cols + 1
-    rows: List[List[int]] = []
-    basis: List[int] = []
-    art_index = std.art_start
-    for i in range(r):
-        scale = 1
-        for v in std.rows[i].values():
-            scale = _lcm(scale, v.denominator)
-        scale = _lcm(scale, std.rhs[i].denominator)
-        row = [0] * width
-        # scale is a multiple of every denominator in the row: scaled
-        # entries are exact in pure integer arithmetic (no Fraction mul).
-        for j, v in std.rows[i].items():
-            row[j] = v.numerator * (scale // v.denominator)
-        if std.slack_of_row[i] is not None:
-            row[std.slack_of_row[i]] = std.slack_sign[i]
-        if std.needs_artificial[i]:
-            row[art_index] = 1
-            basis.append(art_index)
-            art_index += 1
-        else:
-            basis.append(std.slack_of_row[i])  # type: ignore[arg-type]
-        row[-1] = std.rhs[i].numerator * (scale // std.rhs[i].denominator)
-        rows.append(row)
-
-    # Phase-2 cost row (scaled to integers by its own lcm; the scale only
-    # stretches reduced costs by a positive factor, so sign tests and the
-    # argmin are unaffected).
-    obj_scale = 1
-    fr_obj = [to_fraction(c) for c in objective]
-    for c in fr_obj:
-        obj_scale = _lcm(obj_scale, c.denominator)
-    cost2 = [0] * width
-    for j, c in enumerate(fr_obj):
-        cost2[j] = c.numerator * (obj_scale // c.denominator)
-    rows.append(cost2)
-
-    has_artificials = art_index > std.art_start
-    if has_artificials:
-        cost1 = [0] * width
-        for j in range(std.art_start, std.total_cols):
-            cost1[j] = 1
-        # Reduce w.r.t. the artificial part of the starting basis.
-        for i in range(r):
-            if basis[i] >= std.art_start:
-                cost1 = [a - b for a, b in zip(cost1, rows[i])]
-        rows.append(cost1)
-
-    return (
-        _Tableau(rows, basis, r, std.art_start, bland_threshold, max_pivots),
-        has_artificials,
     )
 
 
@@ -582,79 +248,602 @@ def _tight_rows(
     return flags
 
 
-def _canonicalize_tableau(tab: _Tableau, std: StandardForm) -> None:
-    """Pivot within the optimal face to the lex-min optimal vertex.
+class _RevisedSolver:
+    """One solve's state: scaled columns, factorized basis, counters."""
 
-    The tableau twin of ``_RevisedSolver.canonicalize`` — Bland's rule on
-    the ε-perturbed objective over the zero-reduced-cost columns (see the
-    revised kernel for the full argument).  From the same basis both
-    kernels pick identical entering/leaving pairs (the cost row entry is
-    zero exactly when the revised reduced cost is, and ``rows[r][j]`` is
-    the same den-scaled ᾱ ``row_dot`` computes), so the kernels stay
-    pivot-for-pivot identical through the cleanup as well.
-    """
-    n = std.n
-    limit = std.art_start
-    r_count = tab.num_rows
-    while True:
-        cost_row = tab.rows[r_count]
-        basics = sorted(
-            (tab.basis[r], r) for r in range(r_count) if tab.basis[r] < n
-        )
-        in_basis = set(tab.basis)
-        enter: Optional[int] = None
-        for j in range(limit):
-            if j in in_basis or cost_row[j] != 0:
-                continue
-            improving = False
-            for k, rr in basics:
-                if k >= j:
-                    break  # j's own +1 lex component: not improving
-                d = tab.rows[rr][j]
-                if d > 0:
-                    improving = True
-                    break
-                if d < 0:
-                    break
-            if improving:
-                enter = j
+    def __init__(
+        self,
+        std,
+        objective: Sequence[Fraction],
+        bland_threshold: int,
+        max_pivots: int,
+        pricing: str,
+    ):
+        self.std = std
+        self.m = std.num_rows
+        self.bland_threshold = bland_threshold
+        self.max_pivots = max_pivots
+        if pricing not in PRICINGS:
+            raise SolverError(f"unknown pricing rule {pricing!r}")
+        self.pricing = pricing
+        self.stats = SolverStats(solves=1)
+        self.stats.count_kernel("revised")
+        self.phase = 2
+
+        # Row scales: every constraint row becomes integer; slacks and
+        # artificials are implicitly rescaled with their row (their columns
+        # keep ±1 entries) without changing the structural solution.
+        m, n = self.m, std.n
+        self.scales: List[int] = []
+        for i in range(m):
+            scale = 1
+            for v in std.rows[i].values():
+                scale = lcm(scale, v.denominator)
+            scale = lcm(scale, std.rhs[i].denominator)
+            self.scales.append(scale)
+        # Kernel integers go through the active bigint backend (gmpy2 when
+        # available): products/sums inside ftran/btran/update then stay in
+        # the fast type automatically.  Each row scale is a multiple of
+        # every denominator in its row, so the scaled entries come from
+        # pure integer arithmetic — no Fraction multiply (whose gcd
+        # normalization used to dominate solver construction).
+        self.b_int: List[int] = [
+            bigint(
+                std.rhs[i].numerator * (self.scales[i] // std.rhs[i].denominator)
+            )
+            for i in range(m)
+        ]
+
+        # Sparse integer columns of [A | S | I].
+        cols: List[Dict[int, int]] = [dict() for _ in range(std.total_cols)]
+        for i in range(m):
+            scale = self.scales[i]
+            for j, v in std.rows[i].items():
+                cols[j][i] = bigint(v.numerator * (scale // v.denominator))
+        art_index = std.art_start
+        self.art_of_row: List[Optional[int]] = [None] * m
+        for i in range(m):
+            s = std.slack_of_row[i]
+            if s is not None:
+                cols[s][i] = std.slack_sign[i]
+            if std.needs_artificial[i]:
+                cols[art_index][i] = 1
+                self.art_of_row[i] = art_index
+                art_index += 1
+        self.cols = cols
+        self.col_items: List[Tuple[Tuple[int, int], ...]] = [
+            tuple(c.items()) for c in cols
+        ]
+
+        # Scaled integer objective (positive scaling preserves signs/argmin).
+        obj_scale = 1
+        fr_obj = [to_fraction(c) for c in objective]
+        for c in fr_obj:
+            obj_scale = lcm(obj_scale, c.denominator)
+        self.c_int: List[int] = [
+            bigint(c.numerator * (obj_scale // c.denominator)) for c in fr_obj
+        ]
+
+        # Slack-or-artificial starting basis (identity in the scaled system).
+        self.basis: List[int] = [
+            self.art_of_row[i]
+            if self.art_of_row[i] is not None
+            else std.slack_of_row[i]  # type: ignore[list-item]
+            for i in range(m)
+        ]
+        self.lub = LUBasis(m, self.b_int)
+        self._cursor = 0
+        self._block = max(64, (std.art_start + 7) // 8)
+
+    # ------------------------------------------------------------------
+    # Counters
+    # ------------------------------------------------------------------
+
+    @property
+    def pivots(self) -> int:
+        return self.lub.updates
+
+    def _pivot(self, row: int, alpha: Sequence[int], col: int) -> None:
+        self.lub.update(row, alpha)
+        self.basis[row] = col
+        if self.phase == 1:
+            self.stats.phase1_pivots += 1
+        if self.lub.updates > self.max_pivots:
+            raise PivotLimitError(
+                self.max_pivots, self.lub.updates, self.phase, kernel="revised"
+            )
+
+    # ------------------------------------------------------------------
+    # Pricing
+    # ------------------------------------------------------------------
+
+    def _structural_cost(self, j: int) -> int:
+        # Phase 1 prices against zero structural costs; phase 2 against the
+        # scaled objective (slack/artificial costs are zero in both).
+        if self.phase == 1 or j >= self.std.n:
+            return 0
+        return self.c_int[j]
+
+    def _reduced(self, j: int, y_num: List[int], den: int) -> int:
+        r = self._structural_cost(j) * den
+        for i, v in self.col_items[j]:
+            yi = y_num[i]
+            if yi:
+                r -= yi * v
+        return r
+
+    def _entering(self, y_num: List[int], bland: bool) -> Optional[int]:
+        limit = self.std.art_start
+        den = self.lub.den
+        if bland:
+            for j in range(limit):
+                if self._reduced(j, y_num, den) < 0:
+                    return j
+            return None
+        if self.pricing == "dantzig":
+            best_j: Optional[int] = None
+            best = 0
+            for j in range(limit):
+                v = self._reduced(j, y_num, den)
+                if v < best:
+                    best = v
+                    best_j = j
+            return best_j
+        # Partial pricing: rotating blocks, Dantzig winner of the first
+        # block that contains any improving column.
+        scanned = 0
+        j = self._cursor if self._cursor < limit else 0
+        best_j = None
+        best = 0
+        while scanned < limit:
+            v = self._reduced(j, y_num, den)
+            if v < best:
+                best = v
+                best_j = j
+            scanned += 1
+            j += 1
+            if j >= limit:
+                j = 0
+            if scanned % self._block == 0 and best_j is not None:
                 break
-        if enter is None:
-            return
-        row = tab.leaving(enter)
-        if row is None:  # pragma: no cover - lex objective bounded on x≥0
-            return
-        tab.pivot(row, enter)
+        if best_j is not None:
+            self._cursor = (best_j + 1) % limit
+        return best_j
 
-
-def _tableau_warm_state(
-    tab: _Tableau, std: StandardForm, x: Sequence[Fraction], token: object
-) -> WarmState:
-    """Package the tableau's final basis as a (lub-less) :class:`WarmState`.
-
-    A consumer factorizes the labelled columns directly (the tableau keeps
-    no basis inverse to reinstall), so ``scales`` is empty and ``token`` is
-    carried only for symmetry with the revised kernel.
-    """
-    slack_row = {s: i for i, s in enumerate(std.slack_of_row) if s is not None}
-    art_row: Dict[int, int] = {}
-    art_index = std.art_start
-    for i in range(std.num_rows):
-        if std.needs_artificial[i]:
-            art_row[art_index] = i
-            art_index += 1
-    labels: List[Tuple[str, object]] = []
-    for b in tab.basis:
-        if b < std.n:
-            labels.append(("x", b))
-        elif b >= std.art_start:
-            labels.append(("a", art_row[b]))
+    def _dual_row(self) -> List[int]:
+        """den-scaled duals ``c_B·W`` for the current phase's costs."""
+        if self.phase == 1:
+            cb = {
+                i: 1
+                for i in range(self.m)
+                if self.basis[i] >= self.std.art_start
+            }
         else:
-            labels.append(("s", slack_row[b]))
-    point = {j: x[j] for j in range(std.n) if x[j]}
-    return WarmState(
-        labels, std.num_rows, std.n, (), lub=None, token=token, point=point
-    )
+            cb = {}
+            for i in range(self.m):
+                b = self.basis[i]
+                if b < self.std.n and self.c_int[b]:
+                    cb[i] = self.c_int[b]
+        return self.lub.btran(cb)
+
+    # ------------------------------------------------------------------
+    # Ratio test (ties broken by smallest basis index: Bland-safe)
+    # ------------------------------------------------------------------
+
+    def _leaving(self, alpha: Sequence[int]) -> Optional[int]:
+        rhs, basis = self.lub.rhs, self.basis
+        best_r: Optional[int] = None
+        best_b = best_a = 0
+        for r in range(self.m):
+            a = alpha[r]
+            if a <= 0:
+                continue
+            b = rhs[r]
+            if best_r is None:
+                best_r, best_b, best_a = r, b, a
+                continue
+            lhs = b * best_a
+            cmp = best_b * a
+            if lhs < cmp or (lhs == cmp and basis[r] < basis[best_r]):
+                best_r, best_b, best_a = r, b, a
+        return best_r
+
+    def run_phase(self, phase: int) -> str:
+        self.phase = phase
+        while True:
+            bland = self.pivots >= self.bland_threshold
+            y_num = self._dual_row()
+            col = self._entering(y_num, bland)
+            if col is None:
+                return "optimal"
+            alpha = self.lub.ftran(self.cols[col])
+            row = self._leaving(alpha)
+            if row is None:
+                return "unbounded"
+            self._pivot(row, alpha, col)
+
+    # ------------------------------------------------------------------
+    # Warm starts
+    # ------------------------------------------------------------------
+
+    def crash_factorize(
+        self, hints: Sequence[int], eligible: Optional[Sequence[bool]]
+    ) -> bool:
+        """Factorize the hinted basis directly; ``True`` iff exactly feasible.
+
+        Hint columns are eliminated into eligible (tight) rows —
+        structurally-owning rows first, artificial-basic ones preferred so
+        phase 1 dissolves as a side effect — then slack columns are
+        reinstated on rows whose artificial would otherwise sit at a
+        non-zero level.  The intermediate dictionaries may be infeasible;
+        the result counts only if the final one is exactly feasible with
+        every remaining artificial at level 0.
+        """
+        std, m = self.std, self.m
+        self.stats.refactorizations += 1
+        self.lub.refactorizations += 1
+        claimed = [False] * m
+        in_basis = set(self.basis)
+        skipped: List[int] = []
+        for col in hints:
+            if not 0 <= col < std.art_start or col in in_basis:
+                continue
+            alpha = self.lub.ftran(self.cols[col])
+            best_row: Optional[int] = None
+            best_rank = 2
+            for r in range(m):
+                if (
+                    claimed[r]
+                    or (eligible is not None and not eligible[r])
+                    or r not in self.cols[col]
+                    or alpha[r] == 0
+                ):
+                    continue
+                rank = 0 if self.basis[r] >= std.art_start else 1
+                if rank < best_rank:
+                    best_rank = rank
+                    best_row = r
+                    if rank == 0:
+                        break
+            if best_row is None:
+                skipped.append(col)
+                continue
+            in_basis.discard(self.basis[best_row])
+            self._pivot(best_row, alpha, col)
+            in_basis.add(col)
+            claimed[best_row] = True
+        # Mop-up: stragglers may factor into eligible rows through fill-in
+        # once every structurally-owning row is placed.
+        for col in skipped:
+            alpha = self.lub.ftran(self.cols[col])
+            best_row = None
+            for r in range(m):
+                if (
+                    claimed[r]
+                    or (eligible is not None and not eligible[r])
+                    or alpha[r] == 0
+                ):
+                    continue
+                best_row = r
+                if self.basis[r] >= std.art_start:
+                    break
+            if best_row is None:
+                continue  # linearly dependent on the placed columns
+            in_basis.discard(self.basis[best_row])
+            self._pivot(best_row, alpha, col)
+            in_basis.add(col)
+            claimed[best_row] = True
+        # A "≥" row that is slack at the warm point starts artificial-basic;
+        # reinstate its surplus column so the artificial is not left at a
+        # negative level.
+        for r in range(m):
+            if self.basis[r] >= std.art_start:
+                s = std.slack_of_row[r]
+                if s is not None and s not in in_basis:
+                    alpha = self.lub.ftran(self.cols[s])
+                    if alpha[r] != 0:
+                        in_basis.discard(self.basis[r])
+                        self._pivot(r, alpha, s)
+                        in_basis.add(s)
+        for r in range(m):
+            if self.lub.rhs[r] < 0:
+                return False
+            if self.basis[r] >= std.art_start and self.lub.rhs[r] != 0:
+                return False
+        return True
+
+    def push_hints(self, hints: Sequence[int]) -> None:
+        """Ratio-test pushes: always legal, bad hints only cost their pivots."""
+        in_basis = set(self.basis)
+        for col in hints:
+            if not 0 <= col < self.std.art_start or col in in_basis:
+                continue
+            alpha = self.lub.ftran(self.cols[col])
+            row = self._leaving(alpha)
+            if row is None:
+                continue
+            in_basis.discard(self.basis[row])
+            self._pivot(row, alpha, col)
+            in_basis.add(col)
+
+    def crash_from_state(
+        self, state: WarmState, token: object
+    ) -> bool:
+        """Install a carried :class:`WarmState` basis; ``True`` iff feasible.
+
+        Two tiers (see :mod:`repro.lp.warm`): when the caller's structure
+        *token* matches the state's and the row scales are identical, the
+        factorized ``W`` is reinstalled verbatim — ``rhs = W·b`` is the only
+        arithmetic (``crash_skips``).  Otherwise the labelled columns are
+        factorized directly, ``O(m³)`` but self-validating against the
+        *current* columns.  Either way the resulting dictionary must be
+        exactly feasible with every artificial at level 0, or the state is
+        rejected with the solver untouched (stale bases degrade cleanly).
+        """
+        std, m = self.std, self.m
+        if state.m != m or len(state.labels) != m:
+            return False
+        resolved: List[int] = []
+        for kind, payload in state.labels:
+            col: Optional[int] = None
+            if kind == "x":
+                if isinstance(payload, int) and 0 <= payload < std.n:
+                    col = payload
+            elif kind == "s":
+                if isinstance(payload, int) and 0 <= payload < m:
+                    col = std.slack_of_row[payload]
+            elif kind == "a":
+                if isinstance(payload, int) and 0 <= payload < m:
+                    col = self.art_of_row[payload]
+            if col is None:
+                return False
+            resolved.append(col)
+        if len(set(resolved)) != m:
+            return False
+
+        # Tier 1: verbatim W reinstall.  Sound only when the caller vouches
+        # (token equality) that its basis columns are identical to the
+        # producer's — a feasibility check alone cannot validate W as B⁻¹.
+        if (
+            state.lub is not None
+            and token is not None
+            and state.token is not None
+            and state.token == token
+            and state.scales == tuple(self.scales)
+            and state.lub.m == m
+        ):
+            cand = state.lub.rebind(self.b_int)
+            if self._dictionary_feasible(cand, resolved):
+                cand.updates = self.lub.updates
+                cand.refactorizations = self.lub.refactorizations
+                cand.sparse_btrans = self.lub.sparse_btrans
+                self.lub = cand
+                self.basis = resolved
+                self.stats.crash_skips += 1
+                return True
+
+        # Tier 2: factorize the labelled columns against the current system
+        # (self-validating — no token needed), tracking which row each
+        # column claims so basis membership stays positional.
+        prior_updates = self.lub.updates
+        prior_refacts = self.lub.refactorizations
+        self.stats.refactorizations += 1
+        fresh = LUBasis(m, self.b_int)
+        claimed = [False] * m
+        assign: List[int] = [-1] * m
+        for col in resolved:
+            alpha = fresh.ftran(self.cols[col])
+            row = next(
+                (r for r in range(m) if not claimed[r] and alpha[r] != 0), None
+            )
+            if row is None:
+                return False  # singular against the current columns
+            fresh.update(row, alpha)
+            claimed[row] = True
+            assign[row] = col
+        if not self._dictionary_feasible(fresh, assign):
+            return False
+        fresh.updates = prior_updates  # a crash is a refactorization, not pivots
+        fresh.refactorizations = prior_refacts + 1
+        fresh.sparse_btrans += self.lub.sparse_btrans
+        self.lub = fresh
+        self.basis = assign
+        return True
+
+    def _dictionary_feasible(self, lub: LUBasis, basis: Sequence[int]) -> bool:
+        """Non-negative basics, artificials (if basic) exactly at zero."""
+        art_start = self.std.art_start
+        for r in range(self.m):
+            v = lub.rhs[r]
+            if v < 0:
+                return False
+            if basis[r] >= art_start and v != 0:
+                return False
+        return True
+
+    def reset(self) -> None:
+        """Back to the slack/artificial identity basis (crash fallback)."""
+        self.basis = [
+            self.art_of_row[i]
+            if self.art_of_row[i] is not None
+            else self.std.slack_of_row[i]  # type: ignore[list-item]
+            for i in range(self.m)
+        ]
+        updates, refact = self.lub.updates, self.lub.refactorizations
+        sparse_btrans = self.lub.sparse_btrans
+        self.lub = LUBasis(self.m, self.b_int)
+        self.lub.updates = updates  # pivot budget covers the failed crash
+        self.lub.refactorizations = refact
+        self.lub.sparse_btrans = sparse_btrans
+
+    # ------------------------------------------------------------------
+    # Lexicographic canonicalization
+    # ------------------------------------------------------------------
+
+    def canonicalize(self) -> None:
+        """Pivot within the optimal face to the **lex-min** optimal vertex.
+
+        Runs Bland's rule on the ε-perturbed objective ``c·x + Σ εᵏ·x_k``
+        over Q(ε): among the zero-reduced-cost columns, enter the smallest
+        *j* whose lex reduced-cost vector is lex-negative.  The component of
+        that vector at structural index ``k`` (ascending) is 0 when *k* is
+        nonbasic (≠ j), +1 when ``k == j`` (structural *j* itself), and
+        ``−(W·a_j)[r(k)]/den`` when *k* is basic at row ``r(k)`` — so the
+        scan below stops at the first basic ``k < j`` whose row entry is
+        non-zero (positive entry ⟹ improving, negative ⟹ not), and a
+        structural *j* surviving the scan hits its own +1 (not improving)
+        while a slack *j* with an all-zero scan moves no structural at all.
+
+        Pivots on zero-reduced-cost columns leave the phase-2 reduced costs
+        unchanged, so optimality is preserved throughout; Bland's rule
+        cannot cycle, and the lex-min optimum is **unique**, so the vertex
+        reached is independent of the pivot path (and hence of the pricing
+        rule) — what makes partial pricing safe for output-facing solves.
+        """
+        n = self.std.n
+        limit = self.std.art_start
+        while True:
+            y_num = self._dual_row()
+            den = self.lub.den
+            basics = sorted(
+                (self.basis[r], r) for r in range(self.m) if self.basis[r] < n
+            )
+            in_basis = set(self.basis)
+            enter: Optional[int] = None
+            for j in range(limit):
+                if j in in_basis:
+                    continue
+                if self._reduced(j, y_num, den) != 0:
+                    continue
+                improving = False
+                for k, r in basics:
+                    if k >= j:
+                        break  # j's own +1 component decides: not improving
+                    d = self.lub.row_dot(r, self.cols[j])
+                    if d > 0:
+                        improving = True
+                        break
+                    if d < 0:
+                        break
+                if improving:
+                    enter = j
+                    break
+            if enter is None:
+                return
+            alpha = self.lub.ftran(self.cols[enter])
+            row = self._leaving(alpha)
+            if row is None:  # pragma: no cover - lex objective bounded on x≥0
+                return
+            self._pivot(row, alpha, enter)
+
+    # ------------------------------------------------------------------
+    # WarmState extraction
+    # ------------------------------------------------------------------
+
+    def build_warm_state(
+        self, x: Sequence[Fraction], token: object
+    ) -> WarmState:
+        """Package the final basis as a carried :class:`WarmState`.
+
+        The live :class:`LUBasis` is *moved* (rows are copy-on-write, so a
+        future consumer cloning it never aliases mutations); labels encode
+        basis membership positionally in this solve's index space.
+        """
+        std = self.std
+        labels: List[Tuple[str, object]] = []
+        slack_row = {
+            s: r for r, s in enumerate(std.slack_of_row) if s is not None
+        }
+        art_row = {a: r for r, a in enumerate(self.art_of_row) if a is not None}
+        for b in self.basis:
+            if b < std.n:
+                labels.append(("x", b))
+            elif b >= std.art_start:
+                labels.append(("a", art_row[b]))
+            else:
+                labels.append(("s", slack_row[b]))
+        point = {j: x[j] for j in range(std.n) if x[j]}
+        return WarmState(
+            labels,
+            self.m,
+            std.n,
+            tuple(self.scales),
+            lub=self.lub,
+            token=token,
+            point=point,
+        )
+
+    # ------------------------------------------------------------------
+    # Phase-1 bookkeeping
+    # ------------------------------------------------------------------
+
+    def artificial_level_positive(self) -> bool:
+        return any(
+            self.lub.rhs[i] != 0
+            for i in range(self.m)
+            if self.basis[i] >= self.std.art_start
+        )
+
+    def clear_artificials(self) -> None:
+        """Pivot zero-level artificials out wherever a structural entry exists.
+
+        Load-bearing: a basic artificial at level 0 whose row has non-zero
+        structural entries could be lifted off zero by a later phase-2
+        pivot, silently voiding an equality row.  All-zero rows (redundant constraints) keep their
+        artificial marker; extraction skips it and pricing never enters
+        artificial columns.
+        """
+        for i in range(self.m):
+            if self.basis[i] >= self.std.art_start:
+                for j in range(self.std.art_start):
+                    entry = self.lub.row_dot(i, self.cols[j])
+                    if entry != 0:
+                        alpha = self.lub.ftran(self.cols[j])
+                        self._pivot(i, alpha, j)
+                        break
+
+    def farkas_certificate(
+        self,
+        coeff_rows: Sequence[Dict[int, Fraction]],
+        senses: Sequence[str],
+        rhs: Sequence[Fraction],
+    ) -> Optional[List[Fraction]]:
+        """The exact Farkas dual read off the optimal phase-1 basis.
+
+        The scaled phase-1 duals ``y_num/den`` certify the *scaled* rows;
+        row ``i`` of the scaled system is ``scales[i]`` times the
+        sign-normalized row, so the normalized certificate is
+        ``y_num[i]·scales[i]/den``, denormalized back to the caller's row
+        signs.  Verified exactly before being returned — a certificate this
+        module emits is always a proof.
+        """
+        self.phase = 1
+        y_num = self._dual_row()
+        den = self.lub.den
+        y_std = [
+            Fraction(y_num[i] * self.scales[i], den) for i in range(self.m)
+        ]
+        y_raw = denormalize_farkas(y_std, [to_fraction(b) for b in rhs])
+        if farkas_certifies(coeff_rows, senses, rhs, y_raw):
+            return y_raw
+        return None  # pragma: no cover - duality guarantees the checks
+
+    # ------------------------------------------------------------------
+    # Extraction
+    # ------------------------------------------------------------------
+
+    def extract(self, objective: Sequence[Fraction]):
+        n = self.std.n
+        den = self.lub.den
+        x = [Fraction(0)] * n
+        for i in range(self.m):
+            if self.basis[i] < n:
+                x[self.basis[i]] = Fraction(self.lub.rhs[i], den)
+        value = sum(
+            (to_fraction(objective[j]) * x[j] for j in range(n) if x[j]),
+            Fraction(0),
+        )
+        return x, value
 
 
 def solve_standard(
@@ -664,7 +853,6 @@ def solve_standard(
     objective: Sequence[Fraction],
     warm_hints: Optional[Sequence[int]] = None,
     warm_point: Optional[Sequence[Fraction]] = None,
-    kernel: Optional[str] = None,
     bland_threshold: Optional[int] = None,
     max_pivots: Optional[int] = None,
     pricing: Optional[str] = None,
@@ -677,16 +865,12 @@ def solve_standard(
     *coeff_rows* are sparse ``{var_index: coefficient}`` mappings; *senses*
     entries are ``"<="``, ``">="`` or ``"=="``.  The returned ``x`` is a
     basic solution: at most ``len(coeff_rows)`` entries are non-zero.
-
-    *kernel* selects the exact pivoting engine: ``"revised"`` (default —
-    lazy pricing over the factorized basis of :mod:`repro.lp.revised`) or
-    ``"tableau"`` (the dense fraction-free tableau below).  Both are exact
-    and return the same statuses/objectives; from a cold start with full
-    Dantzig pricing they pivot identically.
+    ``SimplexResult.stats`` carries the solve's counters; infeasible results
+    carry a verified Farkas certificate on ``SimplexResult.farkas``.
 
     *bland_threshold* / *max_pivots* override the anti-cycling switchover
     and the pivot budget (:data:`BLAND_THRESHOLD_DEFAULT` /
-    :data:`MAX_PIVOTS_DEFAULT`); exhausting the budget raises the
+    :func:`default_max_pivots`); exhausting the budget raises the
     structured :class:`~repro.exceptions.PivotLimitError`.
 
     Warm starts (see the module docstring) can only speed the solve up,
@@ -695,75 +879,52 @@ def solve_standard(
     column-index form used when no full point is available; *warm_state* is
     a carried :class:`~repro.lp.warm.WarmState` whose basis (labels in this
     LP's index space) skips phase 1 and the crash push outright when it is
-    still feasible — *structure_token* additionally authorizes verbatim
-    ``W`` reuse (see :mod:`repro.lp.warm`).  Optimal results carry the next
+    still feasible.  A stale state degrades to its carried point, then to a
+    cold start.  *structure_token* additionally authorizes verbatim ``W``
+    reuse (see :mod:`repro.lp.warm`).  Optimal results carry the next
     solve's ``warm_state``.
 
-    *canonical* picks the vertex-identity contract.  ``True`` (the
-    default) returns a deterministic, kernel-invariant vertex: with
-    ``pricing=None`` the solve pins Dantzig (both kernels pivot
-    identically, so results stay byte-compatible across kernels and code
-    generations for free), and an explicitly non-Dantzig pricing gets a
-    lexicographic cleanup instead.  ``"lex"`` always pivots the optimum to
-    the lexicographically minimal vertex — identical across kernels,
-    pricing rules *and* warm starts.  ``False`` skips all of it:
-    probe-style callers that need only feasibility or the objective value
-    take the process-default pricing (normally ``partial``) and whatever
-    vertex the solve lands on.
+    *pricing* is one of :data:`PRICINGS`; *canonical* picks the
+    vertex-identity contract.  ``True`` (the default) returns a
+    deterministic vertex: ``pricing=None`` pins Dantzig, and an explicitly
+    non-Dantzig pricing gets a lexicographic cleanup instead.  ``"lex"``
+    always pivots the optimum to the lexicographically minimal vertex —
+    independent of the pricing rule *and* of warm starts.  ``False`` skips
+    all of it: probe-style callers that need only feasibility or the
+    objective value take partial pricing (unless *pricing* says otherwise)
+    and whatever vertex the solve lands on.
     """
-    kernel = kernel or _default_kernel
-    if kernel not in KERNELS:
-        raise SolverError(f"unknown kernel {kernel!r}; choose from {KERNELS}")
-    if kernel == "revised":
-        from .revised import solve_standard_revised
-
-        if pricing is None:
-            # Canonical solves default to Dantzig: it is kernel-invariant
-            # by construction (the tableau twin pivots identically), so the
-            # deterministic vertex costs nothing extra.  Non-canonical
-            # (probe-style) solves take the process default pricing.
-            pricing = "dantzig" if canonical is True else _default_pricing
-        return solve_standard_revised(
-            coeff_rows, senses, rhs, objective,
-            warm_hints=warm_hints, warm_point=warm_point,
-            bland_threshold=bland_threshold, max_pivots=max_pivots,
-            pricing=pricing,
-            warm_state=warm_state, structure_token=structure_token,
-            canonical=canonical,
-        )
-    if pricing not in (None, "dantzig"):
-        raise SolverError(
-            f"pricing {pricing!r} requires kernel='revised' (the tableau "
-            f"kernel always prices with Dantzig→Bland)"
-        )
-
+    # Imported late: the tracer imports the lp package for its stats sink.
     from ..obs.trace import span as trace_span
 
-    bland_threshold = (
-        BLAND_THRESHOLD_DEFAULT if bland_threshold is None else bland_threshold
-    )
-    max_pivots = default_max_pivots() if max_pivots is None else max_pivots
-    stats = SolverStats(solves=1)
-    stats.count_kernel("tableau")
+    if pricing is None:
+        pricing = "dantzig" if canonical is True else _PROBE_PRICING
     with trace_span(
-        "lp.solve", kernel="tableau", rows=len(coeff_rows), cols=len(objective),
+        "lp.solve", kernel="revised", rows=len(coeff_rows), cols=len(objective),
     ) as solve_sp:
         std = standard_form(coeff_rows, senses, rhs, objective)
-        tab, has_artificials = _build_tableau(std, objective, bland_threshold, max_pivots)
-        r = std.num_rows
+        solver = _RevisedSolver(
+            std,
+            objective,
+            bland_threshold if bland_threshold is not None else BLAND_THRESHOLD_DEFAULT,
+            max_pivots if max_pivots is not None else default_max_pivots(),
+            pricing,
+        )
+        has_artificials = any(std.needs_artificial)
 
+        crashed = False
         if warm_state is not None:
-            # The tableau kernel has no factorized basis to reinstall; a
-            # carried state degrades to its labels (as column hints) and
-            # its vertex (as a warm point).
-            state_hints = [
-                payload
-                for kind, payload in warm_state.labels
-                if kind == "x" and isinstance(payload, int)
-                and 0 <= payload < std.n
-            ]
-            warm_hints = state_hints + list(warm_hints or [])
-            if warm_point is None and warm_state.point:
+            solver.stats.warm_start_attempts += 1
+            with trace_span("lp.crash", state=True) as crash_sp:
+                crashed = solver.crash_from_state(warm_state, structure_token)
+                if crash_sp:
+                    crash_sp.attrs["hit"] = crashed
+                    crash_sp.attrs["verbatim"] = bool(solver.stats.crash_skips)
+            if crashed:
+                solver.stats.warm_start_hits += 1
+                solver.stats.basis_reuses += 1
+            elif warm_point is None and warm_state.point:
+                # Stale basis: degrade to the carried vertex as a point hint.
                 pt = [Fraction(0)] * std.n
                 for payload, value in warm_state.point.items():
                     if isinstance(payload, int) and 0 <= payload < std.n:
@@ -771,99 +932,73 @@ def solve_standard(
                 warm_point = pt
 
         eligible: Optional[List[bool]] = None
-        if warm_point is not None and len(warm_point) == std.n:
+        if not crashed and warm_point is not None and len(warm_point) == std.n:
             point = [to_fraction(v) for v in warm_point]
             warm_hints = _point_hints(point) + list(warm_hints or [])
             eligible = _tight_rows(coeff_rows, senses, rhs, point)
 
-        crashed = False
-        if warm_hints:
-            stats.warm_start_attempts += 1
+        if not crashed and warm_hints:
+            solver.stats.warm_start_attempts += 1
             with trace_span("lp.crash", hints=len(warm_hints)) as crash_sp:
-                crashed = tab.crash_basis(warm_hints, std, eligible)
+                crashed = solver.crash_factorize(warm_hints, eligible)
                 if crashed:
-                    stats.warm_start_hits += 1
+                    solver.stats.warm_start_hits += 1
                 else:
-                    # The crash left an infeasible dictionary; rebuild and
-                    # fall back to ratio-test pushes (always legal, merely
-                    # less direct).
-                    tab, has_artificials = _build_tableau(
-                        std, objective, bland_threshold, max_pivots
-                    )
-                    tab.push_hints(warm_hints)
+                    # The crash landed on an infeasible dictionary; restart
+                    # from the identity basis and fall back to ratio-test
+                    # pushes.
+                    solver.reset()
+                    solver.push_hints(warm_hints)
                 if crash_sp:
                     crash_sp.attrs["hit"] = crashed
-                    crash_sp.attrs["pivots"] = tab.pivots
+                    crash_sp.attrs["pivots"] = solver.pivots
 
         # ------------- Phase 1: minimize the sum of artificials ------------
+        if has_artificials and not crashed:
+            with trace_span("lp.phase1") as phase_sp:
+                status = solver.run_phase(1)
+                if phase_sp:
+                    phase_sp.attrs["pivots"] = solver.stats.phase1_pivots
+            if status == "unbounded":  # pragma: no cover - impossible: cost ≥ 0
+                raise SolverError("phase-1 objective unbounded")
+            if solver.artificial_level_positive():
+                farkas = solver.farkas_certificate(coeff_rows, senses, rhs)
+                solver.stats.pivots = solver.pivots
+                solver.stats.sparse_btrans = solver.lub.sparse_btrans
+                record(solver.stats)
+                if solve_sp:
+                    solve_sp.attrs["status"] = "infeasible"
+                return SimplexResult(
+                    "infeasible", [], None, None, solver.pivots,
+                    stats=solver.stats, farkas=farkas,
+                )
         if has_artificials:
-            if not crashed:
-                before = tab.pivots
-                with trace_span("lp.phase1") as phase_sp:
-                    status = tab.run_phase(r + 1)
-                    if phase_sp:
-                        phase_sp.attrs["pivots"] = tab.pivots - before
-                stats.phase1_pivots += tab.pivots - before
-                if status == "unbounded":  # pragma: no cover - impossible: cost ≥ 0
-                    raise SolverError("phase-1 objective unbounded")
-                if tab.rows[r + 1][-1] < 0:  # objective −rhs/den still positive
-                    stats.pivots = tab.pivots
-                    record(stats)
-                    if solve_sp:
-                        solve_sp.attrs["status"] = "infeasible"
-                    return SimplexResult(
-                        "infeasible", [], None, None, tab.pivots, stats=stats
-                    )
-            # Drive any zero-level artificials out of the basis.  This is
-            # load-bearing, not cosmetic: a basic artificial at level 0 whose
-            # row has non-zero structural entries could be lifted off zero by
-            # a later phase-2 pivot, silently voiding an equality row.
-            for i in range(r):
-                if tab.basis[i] >= std.art_start:
-                    pivot_col = None
-                    row_i = tab.rows[i]
-                    for j in range(std.art_start):
-                        if row_i[j] != 0:
-                            pivot_col = j
-                            break
-                    if pivot_col is not None:
-                        tab.pivot(i, pivot_col)
-                    # else: the row is all-zero outside its artificial column
-                    # (redundant constraint); the artificial stays basic at 0
-                    # and nothing can move it.
-            tab.rows.pop()  # drop the phase-1 cost row
-            tab.drop_artificials()
+            solver.clear_artificials()
 
         # ------------- Phase 2: original objective -------------------------
-        phase1_total = tab.pivots
+        phase1_total = solver.pivots
         with trace_span("lp.phase2") as phase_sp:
-            status = tab.run_phase(r)
+            status = solver.run_phase(2)
             if phase_sp:
-                phase_sp.attrs["pivots"] = tab.pivots - phase1_total
-        if status == "optimal" and canonical == "lex":
-            # Dantzig→Bland is already deterministic and kernel-invariant,
-            # so plain ``canonical=True`` needs no cleanup here; only the
-            # strong warm-start-independent contract pivots to lex-min.
-            _canonicalize_tableau(tab, std)
-        stats.pivots = tab.pivots
-        record(stats)
+                phase_sp.attrs["pivots"] = solver.pivots - phase1_total
+        if status == "optimal" and (
+            canonical == "lex" or (canonical is True and pricing != "dantzig")
+        ):
+            solver.canonicalize()
+        solver.stats.pivots = solver.pivots
+        solver.stats.sparse_btrans = solver.lub.sparse_btrans
+        record(solver.stats)
         if solve_sp:
             solve_sp.attrs["status"] = status
-            solve_sp.attrs["pivots"] = tab.pivots
+            solve_sp.attrs["pivots"] = solver.pivots
         if status == "unbounded":
             return SimplexResult(
-                "unbounded", [], None, list(tab.basis), tab.pivots, stats=stats
+                "unbounded", [], None, list(solver.basis), solver.pivots,
+                stats=solver.stats,
             )
-
-        n = std.n
-        x = [Fraction(0)] * n
-        for i in range(r):
-            if tab.basis[i] < n:
-                x[tab.basis[i]] = tab.value(i, -1)
-        objective_value = sum(
-            (to_fraction(objective[j]) * x[j] for j in range(n) if x[j]), Fraction(0)
-        )
+        x, value = solver.extract(objective)
         return SimplexResult(
-            "optimal", x, objective_value, list(tab.basis), tab.pivots, stats=stats,
-            warm_state=_tableau_warm_state(tab, std, x, structure_token),
+            "optimal", x, value, list(solver.basis), solver.pivots,
+            stats=solver.stats,
+            warm_state=solver.build_warm_state(x, structure_token),
         )

@@ -84,7 +84,7 @@ class SolverStats:
     task_retries: int = 0
     tasks_quarantined: int = 0
     budget_kills: int = 0
-    #: Solve count per kernel name ("revised", "tableau", "float").
+    #: Solve count per kernel name ("revised", "float").
     kernels: Dict[str, int] = field(default_factory=dict)
 
     def count_kernel(self, kernel: str) -> None:

@@ -38,7 +38,7 @@ row scaling) to the producer's — feasibility checks alone cannot validate
 ``W`` as the inverse of the new columns.  The ``token`` field carries an
 opaque structure witness chosen by the producer's caller (e.g. the
 ``_ProbeSession`` instance whose masked templates guarantee identical
-columns); :mod:`repro.lp.revised` installs ``W`` verbatim only when the
+columns); :mod:`repro.lp.simplex` installs ``W`` verbatim only when the
 consumer presents an equal token *and* the row scales match, and otherwise
 refactorizes the labelled columns directly (``O(m³)``, self-validating).
 
@@ -74,7 +74,7 @@ class WarmState:
         rhs denominators); verbatim ``W`` reuse requires equality.
     ``lub``
         the factorized basis, or ``None`` when only labels/point are
-        carried (e.g. states produced by the tableau kernel).
+        carried (e.g. hand-built states).
     ``token``
         opaque structure witness for verbatim reuse (compared with ``==``).
     ``point``

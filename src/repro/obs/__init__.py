@@ -4,7 +4,7 @@ The layer every perf claim and the future service daemon report through:
 
 * :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer` and the
   module-level :func:`span` context manager the solver stack is
-  instrumented with (LP kernels, binary-search probes, session cache
+  instrumented with (LP simplex, binary-search probes, session cache
   lookups, admission windows, sweep tasks).  Near-zero overhead when no
   tracer is installed; never perturbs results.
 * :mod:`repro.obs.export` — the streaming JSONL span sink and the Chrome

@@ -194,7 +194,6 @@ def iterative_round(
     max_drop_vars: Optional[int] = None,
     backend: str = "exact",
     certify: bool = True,
-    kernel: Optional[str] = None,
 ) -> IterativeRoundingResult:
     """Round an assignment+packing LP per Lemma VI.2.
 
@@ -217,13 +216,11 @@ def iterative_round(
         Verify the achieved usage of every row against its certified limit
         and raise :class:`RoundingCertificationError` on any excess
         (default).  Pass ``False`` to obtain the uncertified result.
-    kernel:
-        Exact pivoting kernel for the re-solves (``None`` = process
-        default).  Each iteration's LP is warm-started from the previous
-        iteration's point restricted to the still-free variables — that
-        restriction stays feasible for the residual system (1-fixed
-        contributions are subtracted from the bounds), so the crash basis
-        typically skips phase 1 outright.
+
+    Each iteration's LP is warm-started from the previous iteration's
+    point restricted to the still-free variables — that restriction stays
+    feasible for the residual system (1-fixed contributions are subtracted
+    from the bounds), so the crash basis typically skips phase 1 outright.
     """
     all_keys: List[VarKey] = []
     owner: Dict[VarKey, Hashable] = {}
@@ -277,7 +274,7 @@ def iterative_round(
         if cost_map:
             lp.set_objective({q: cost_map.get(q, Fraction(0)) for q in free_keys})
         solution = solve_lp(
-            lp, backend=backend, warm_values=warm, kernel=kernel,
+            lp, backend=backend, warm_values=warm,
             warm_state=carried,
         )
         if not solution.is_optimal:

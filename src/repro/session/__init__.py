@@ -13,7 +13,7 @@ scheduling-as-a-service item starts from:
   bookkeeping client on top of it;
 * :mod:`repro.session.request` / :mod:`repro.session.session` —
   :class:`SolveRequest` (canonical description of what is being solved) and
-  :class:`Session` (the façade owning backend/kernel defaults, the cache,
+  :class:`Session` (the façade owning the backend default, the cache,
   and :class:`~repro.lp.stats.SolverStats` aggregation, through which
   ``two_approximation``, ``minimal_fractional_T``, the memory models,
   ``schedule_hierarchical`` templates and batch admission all route).

@@ -57,7 +57,7 @@ class SolveRequest:
 
     ``algorithm`` names the entry point (``"minimal_fractional_T"``,
     ``"two_approximation"``, ``"template"``, …); ``params`` holds every
-    input that changes the answer — including the backend and kernel, so
+    input that changes the answer — including the backend, so
     results solved under different solver configurations occupy distinct
     cache slots and each reproduces its own bytes exactly.
     """

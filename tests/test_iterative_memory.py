@@ -22,6 +22,7 @@ from repro.exceptions import (
     InvalidInstanceError,
     RoundingCertificationError,
     RoundingError,
+    SolverError,
 )
 from repro.rounding.iterative import PackingRow, column_rho, iterative_round
 from repro.workloads import rng_from_seed
@@ -293,6 +294,19 @@ class TestModel1:
     def test_nonpositive_budget_raises(self, memory_instance):
         with pytest.raises(InvalidInstanceError):
             solve_model1(memory_instance, [[1, 1]] * 4, {0: 0, 1: 2}, 10)
+
+    def test_kernel_keyword_accepts_only_revised(self, memory_instance):
+        space, budgets = [[1, 1]] * 4, {0: 2, 1: 2}
+        T = minimal_model1_T(memory_instance, space, budgets)
+        plain = solve_model1(memory_instance, space, budgets, T)
+        named = solve_model1(memory_instance, space, budgets, T, kernel="revised")
+        assert named.makespan == plain.makespan
+        for solve, args in (
+            (solve_model1, (space, budgets, T)),
+            (solve_model2, ([Fraction(1, 2)] * 4, 2, T)),
+        ):
+            with pytest.raises(SolverError):
+                solve(memory_instance, *args, kernel="tableau")
 
 
 class TestModel2:

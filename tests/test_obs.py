@@ -131,10 +131,10 @@ class TestRoundTrips:
             solves=3, pivots=41, phase1_pivots=11, refactorizations=2,
             warm_start_attempts=3, warm_start_hits=2, point_reuses=1,
             farkas_reuses=4, cache_hits=5, cache_misses=6,
-            kernels={"revised": 2, "tableau": 1},
+            kernels={"revised": 2, "float": 1},
         )
         payload = stats.to_json()
-        assert payload["kernels"] == {"revised": 2, "tableau": 1}
+        assert payload["kernels"] == {"revised": 2, "float": 1}
         # The copy is deep enough: mutating the payload leaves stats alone.
         payload["kernels"]["revised"] = 99
         assert stats.kernels["revised"] == 2

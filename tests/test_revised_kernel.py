@@ -1,9 +1,10 @@
-"""Tests for the revised simplex kernel, the LU basis, and the probe pipeline.
+"""Tests for the exact revised simplex, the LU basis, and the probe pipeline.
 
-Covers the PR-4 acceptance criteria:
+Covers:
 
-* revised-vs-tableau equivalence (status, objective, vertex support) on
-  randomized LPs drawn from **every** workload family, plus hypothesis LPs;
+* agreement with the brute-force vertex-enumeration oracle of
+  ``lp_oracle.py`` (status, objective, lex-min vertex) on LPs drawn from
+  **every** workload family, plus hypothesis LPs;
 * warm-start edge cases — degenerate hints with no positive ratio, a failed
   crash falling back to ratio-test pushes, Farkas-dual seeding across an
   infeasible→feasible probe pair;
@@ -27,57 +28,54 @@ from repro.lp import (
     SolverStats,
     collect_stats,
     farkas_certifies,
-    get_default_kernel,
-    set_default_kernel,
     solve_lp,
     solve_standard,
-    solve_standard_revised,
 )
+from repro.core.instance import Instance
 from repro.lp.certificates import denormalize_farkas
 from repro.lp.simplex import standard_form
 from repro.lp.solve import check_standard_rows, feasible_point_rows
 from repro.workloads import FAMILIES, make_instance, make_topology, rng_from_seed
 
+from lp_oracle import oracle_solve
 
-def _assert_equivalent(rows, senses, rhs, objective):
-    """Tableau and (cold, Dantzig-priced) revised agree vertex-for-vertex."""
-    tab = solve_standard(rows, senses, rhs, objective, kernel="tableau")
-    rev = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
-    assert tab.status == rev.status
-    if tab.status == "optimal":
-        assert tab.objective == rev.objective
-        assert tab.x == rev.x  # identical vertex, not just identical value
-        assert tab.basis == rev.basis
-    return tab, rev
+
+def _assert_matches_oracle(rows, senses, rhs, objective):
+    """Status and objective match brute-force enumeration, and so does the
+    ``canonical="lex"`` vertex; infeasibility comes with a verified proof."""
+    status, value, vertex = oracle_solve(rows, senses, rhs, objective)
+    result = solve_standard(rows, senses, rhs, objective)
+    lex = solve_standard(rows, senses, rhs, objective, canonical="lex")
+    assert result.status == lex.status == status
+    if status == "optimal":
+        assert result.objective == lex.objective == value
+        assert lex.x == vertex  # identical vertex, not just identical value
+    elif status == "infeasible":
+        assert farkas_certifies(rows, senses, rhs, result.farkas)
 
 
 class TestKernelEquivalence:
     def test_all_workload_families(self):
-        """IP-3 decision LPs from every family: identical vertices."""
-        topo = make_topology("clustered4x2")
+        """IP-3 LPs from every family (first job, so enumeration stays
+        small): the solver agrees with the oracle, feasibility and cost."""
+        topo = make_topology("flat4")
         for i, name in enumerate(sorted(FAMILIES)):
-            inst = make_instance(name, rng_from_seed(900 + i), topo, n=6)
+            full = make_instance(name, rng_from_seed(900 + i), topo, n=1)
+            inst = Instance(full.family, lambda j, alpha: full.p(j, alpha), n=1)
             builder = IP3Builder(inst)
-            if not builder.breakpoints:
-                continue
             for T in (builder.breakpoints[0], builder.breakpoints[-1]):
                 rows, senses, rhs, active = builder.probe_rows(T)
-                objective = [Fraction(0)] * len(active)
-                _assert_equivalent(rows, senses, rhs, objective)
+                for c in (Fraction(0), Fraction(1)):
+                    objective = [c] * len(active)
+                    _assert_matches_oracle(rows, senses, rhs, objective)
 
     def test_t_star_matches_across_kernels_and_families(self):
+        """T* of the revised (exact) and float (scipy) backends agree."""
         topo = make_topology("smp2x2x2")
-        saved = get_default_kernel()
-        try:
-            for i, name in enumerate(sorted(FAMILIES)):
-                inst = make_instance(name, rng_from_seed(40 + i), topo, n=5)
-                set_default_kernel("tableau")
-                t_tab = minimal_fractional_T(inst, backend="exact")
-                set_default_kernel("revised")
-                t_rev = minimal_fractional_T(inst, backend="exact")
-                assert t_tab == t_rev
-        finally:
-            set_default_kernel(saved)
+        for i, name in enumerate(sorted(FAMILIES)):
+            inst = make_instance(name, rng_from_seed(40 + i), topo, n=5)
+            t_exact = minimal_fractional_T(inst, backend="exact")
+            assert minimal_fractional_T(inst, backend="scipy") == t_exact
 
     def test_partial_pricing_same_value(self):
         """Partial pricing may pick another vertex, never another optimum."""
@@ -86,20 +84,17 @@ class TestKernelEquivalence:
         builder = IP3Builder(inst)
         rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
         objective = [Fraction(1)] * len(active)
-        full = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
-        part = solve_standard_revised(rows, senses, rhs, objective, pricing="partial")
+        full = solve_standard(rows, senses, rhs, objective, pricing="dantzig")
+        part = solve_standard(rows, senses, rhs, objective, pricing="partial")
         assert full.status == part.status == "optimal"
         assert full.objective == part.objective
         # Both are vertices: support bounded by the row count.
         assert sum(1 for v in part.x if v) <= len(rows)
 
     def test_unknown_pricing_rejected(self):
-        with pytest.raises(SolverError):
-            solve_standard_revised([], [], [], [Fraction(1)], pricing="newton")
-        with pytest.raises(SolverError):
-            solve_standard(
-                [], [], [], [Fraction(1)], kernel="tableau", pricing="partial"
-            )
+        for pricing in ("newton", "steepest"):
+            with pytest.raises(SolverError):
+                solve_standard([], [], [], [Fraction(1)], pricing=pricing)
 
 
 @st.composite
@@ -122,13 +117,8 @@ def random_lp(draw):
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(random_lp())
-def test_kernels_agree_on_random_lps(data):
-    rows, senses, rhs, objective = data
-    tab, rev = _assert_equivalent(rows, senses, rhs, objective)
-    if rev.status == "infeasible":
-        # The revised kernel's certificate is a verified proof.
-        assert rev.farkas is not None
-        assert farkas_certifies(rows, senses, rhs, rev.farkas)
+def test_matches_oracle_on_random_lps(data):
+    _assert_matches_oracle(*data)
 
 
 class TestLUBasis:
@@ -187,9 +177,7 @@ class TestWarmStartEdgeCases:
         senses = ["<="]
         rhs = [Fraction(2)]
         objective = [Fraction(0), Fraction(-1)]
-        result = solve_standard_revised(
-            rows, senses, rhs, objective, warm_hints=[0]
-        )
+        result = solve_standard(rows, senses, rhs, objective, warm_hints=[0])
         assert result.status == "unbounded"
 
     def test_bad_warm_point_repaired(self):
@@ -216,10 +204,8 @@ class TestWarmStartEdgeCases:
         senses = ["==", "<="]
         rhs = [Fraction(2), Fraction(3)]
         objective = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-        cold = solve_standard_revised(rows, senses, rhs, objective)
-        warm = solve_standard_revised(
-            rows, senses, rhs, objective, warm_point=cold.x
-        )
+        cold = solve_standard(rows, senses, rhs, objective)
+        warm = solve_standard(rows, senses, rhs, objective, warm_point=cold.x)
         assert warm.status == "optimal" and warm.objective == cold.objective
         assert warm.stats.warm_start_hits == 1
         assert warm.stats.phase1_pivots == 0
@@ -293,15 +279,12 @@ class TestPivotBudget:
         senses = ["==", "<="]
         rhs = [Fraction(1), Fraction(1)]
         objective = [Fraction(-1), Fraction(1)]
-        for kernel in ("revised", "tableau"):
-            with pytest.raises(PivotLimitError) as err:
-                solve_standard(
-                    rows, senses, rhs, objective, kernel=kernel, max_pivots=1
-                )
-            assert err.value.budget == 1
-            assert err.value.pivots == 2
-            assert err.value.kernel == kernel
-            assert err.value.phase in (1, 2)
+        with pytest.raises(PivotLimitError) as err:
+            solve_standard(rows, senses, rhs, objective, max_pivots=1)
+        assert err.value.budget == 1
+        assert err.value.pivots == 2
+        assert err.value.kernel == "revised"
+        assert err.value.phase in (1, 2)
 
     def test_default_budget_solves_fine(self):
         rows = [{0: Fraction(1)}]
@@ -420,15 +403,11 @@ class TestStatsPlumbing:
         assert "solver profile:" in out
         assert "pivots" in out
 
-    def test_kernel_cli_flag_sets_default(self):
+    def test_kernel_cli_flag_is_gone(self):
         from repro.cli import main
 
-        saved = get_default_kernel()
-        try:
-            assert main(["experiments", "e01", "--kernel", "tableau"]) == 0
-            assert get_default_kernel() == "tableau"
-        finally:
-            set_default_kernel(saved)
+        with pytest.raises(SystemExit):
+            main(["experiments", "e01", "--kernel", "revised"])
 
 
 def test_standard_form_unchanged_contract():

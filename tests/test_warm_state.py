@@ -40,11 +40,12 @@ from repro.lp import (
     collect_stats,
     solve_lp,
     solve_standard,
-    solve_standard_revised,
 )
 from repro.lp.basis import _to_dense
 from repro.lp.warm import WarmState
 from repro.workloads import make_instance, make_topology, rng_from_seed
+
+from lp_oracle import oracle_solve
 
 
 def _small_lp():
@@ -109,15 +110,15 @@ class TestStaleBasisRejection:
     def test_dimension_change_rejected_cleanly(self):
         """A basis carried across a row-count change degrades to cold."""
         rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard_revised(rows, senses, rhs, objective)
+        donor = solve_standard(rows, senses, rhs, objective)
         assert donor.status == "optimal" and donor.warm_state is not None
 
         # Same variables, one extra row: state.m no longer matches.
         rows2 = rows + [{2: Fraction(1), 3: Fraction(1)}]
         senses2 = senses + ["<="]
         rhs2 = rhs + [Fraction(1)]
-        cold = solve_standard_revised(rows2, senses2, rhs2, objective)
-        warm = solve_standard_revised(
+        cold = solve_standard(rows2, senses2, rhs2, objective)
+        warm = solve_standard(
             rows2, senses2, rhs2, objective, warm_state=donor.warm_state
         )
         assert warm.status == cold.status == "optimal"
@@ -128,13 +129,13 @@ class TestStaleBasisRejection:
     def test_out_of_range_labels_rejected_cleanly(self):
         """Labels pointing past the consumer's variable space are stale."""
         rows, senses, rhs, objective = _small_lp()
-        donor = solve_standard_revised(rows, senses, rhs, objective)
+        donor = solve_standard(rows, senses, rhs, objective)
         # Shrink to 2 structural variables; any ("x", j>=2) label is now
         # unresolvable and the whole state must be rejected, not crash.
         rows2 = [{k: v for k, v in r.items() if k < 2} for r in rows]
         obj2 = objective[:2]
-        cold = solve_standard_revised(rows2, senses, rhs, obj2)
-        warm = solve_standard_revised(
+        cold = solve_standard(rows2, senses, rhs, obj2)
+        warm = solve_standard(
             rows2, senses, rhs, obj2, warm_state=donor.warm_state
         )
         assert warm.status == cold.status
@@ -169,16 +170,16 @@ class TestStaleBasisRejection:
         """Without a structure token tier 1 never fires (tier 2 may)."""
         rows, senses, rhs, objective = _small_lp()
         token = object()
-        donor = solve_standard_revised(
+        donor = solve_standard(
             rows, senses, rhs, objective, structure_token=token
         )
-        warm = solve_standard_revised(
+        warm = solve_standard(
             rows, senses, rhs, objective, warm_state=donor.warm_state
         )
         assert warm.status == "optimal"
         assert warm.stats.crash_skips == 0  # no token presented
 
-        verbatim = solve_standard_revised(
+        verbatim = solve_standard(
             rows, senses, rhs, objective,
             warm_state=donor.warm_state, structure_token=token,
         )
@@ -194,9 +195,9 @@ class TestPivotLimitResumability:
         """A budgeted abort is an exception, not a corrupted process."""
         rows, senses, rhs, objective = _small_lp()
         with pytest.raises(PivotLimitError):
-            solve_standard_revised(rows, senses, rhs, objective, max_pivots=1)
+            solve_standard(rows, senses, rhs, objective, max_pivots=1)
         # The very next solve in the same process is untouched.
-        result = solve_standard_revised(rows, senses, rhs, objective)
+        result = solve_standard(rows, senses, rhs, objective)
         assert result.status == "optimal"
 
     def test_probe_session_resumable_after_pivot_limit(self, monkeypatch):
@@ -272,19 +273,19 @@ def test_carried_basis_solve_equals_cold_solve(data):
     vertex — the lex-min optimum is independent of pricing and warm start.
     """
     rows, senses, rhs, objective = data
-    cold = solve_standard_revised(
-        rows, senses, rhs, objective, canonical="lex"
+    cold = solve_standard(
+        rows, senses, rhs, objective, pricing="dantzig", canonical="lex"
     )
     # Donor: a different pricing rule and no cleanup, so its final basis
     # is as unlike the cold path as this LP allows.
-    donor = solve_standard_revised(
+    donor = solve_standard(
         rows, senses, rhs, objective, pricing="partial", canonical=False
     )
     assert donor.status == cold.status
     if donor.status != "optimal":
         return
-    warm = solve_standard_revised(
-        rows, senses, rhs, objective,
+    warm = solve_standard(
+        rows, senses, rhs, objective, pricing="dantzig",
         warm_state=donor.warm_state, canonical="lex",
     )
     assert warm.status == "optimal"
@@ -293,26 +294,15 @@ def test_carried_basis_solve_equals_cold_solve(data):
 
 
 class TestSteepestEdgePricing:
-    def test_same_optimum_as_dantzig(self):
-        topo = make_topology("flat4")
-        inst = make_instance("heavy_tailed", rng_from_seed(7), topo, n=6)
-        builder = IP3Builder(inst)
-        rows, senses, rhs, active = builder.probe_rows(builder.breakpoints[-1])
-        objective = [Fraction(1)] * len(active)
-        dz = solve_standard_revised(rows, senses, rhs, objective, pricing="dantzig")
-        se = solve_standard_revised(rows, senses, rhs, objective, pricing="steepest")
-        assert dz.status == se.status == "optimal"
-        assert dz.objective == se.objective
-
     def test_lex_canonical_erases_pricing_choice(self):
         rows, senses, rhs, objective = _small_lp()
         vertices = {
-            pricing: solve_standard_revised(
+            pricing: solve_standard(
                 rows, senses, rhs, objective, pricing=pricing, canonical="lex"
             ).x
-            for pricing in ("dantzig", "partial", "steepest")
+            for pricing in ("dantzig", "partial")
         }
-        assert vertices["dantzig"] == vertices["partial"] == vertices["steepest"]
+        assert vertices["dantzig"] == vertices["partial"]
 
 
 class TestWarmKeyDrops:
@@ -407,13 +397,14 @@ class TestBigintSeam:
 
     @pytest.mark.skipif(not HAVE_GMPY2, reason="gmpy2 not installed")
     def test_kernel_equivalence_under_gmpy2(self):
-        """With gmpy2 active the kernels still agree vertex-for-vertex."""
+        """With gmpy2 active the solver still matches the oracle exactly."""
         rows, senses, rhs, objective = _small_lp()
-        tab = solve_standard(rows, senses, rhs, objective, kernel="tableau")
-        rev = solve_standard_revised(rows, senses, rhs, objective)
-        assert tab.status == rev.status == "optimal"
-        assert tab.x == rev.x
-        assert all(isinstance(v, Fraction) for v in rev.x)
+        status, value, vertex = oracle_solve(rows, senses, rhs, objective)
+        result = solve_standard(rows, senses, rhs, objective, canonical="lex")
+        assert result.status == status == "optimal"
+        assert result.objective == value
+        assert result.x == vertex
+        assert all(isinstance(v, Fraction) for v in result.x)
 
     def test_escape_hatch_forces_python_ints(self):
         """``REPRO_BIGINT=python`` pins the built-in int in a fresh process."""
@@ -426,8 +417,8 @@ class TestBigintSeam:
             "from repro._fraction import bigint, bigint_backend\n"
             "assert bigint_backend() == 'python', bigint_backend()\n"
             "assert type(bigint(7)) is int\n"
-            "from repro.lp import solve_standard_revised\n"
-            "r = solve_standard_revised("
+            "from repro.lp import solve_standard\n"
+            "r = solve_standard("
             "[{0: Fraction(1)}], ['<='], [Fraction(2)], [Fraction(-1)])\n"
             "assert r.status == 'optimal' and r.x == [Fraction(2)]\n"
             "print('ok')\n"
