@@ -1,9 +1,12 @@
 """Perf-regression gate: fresh ``BENCH_lp_backends.json`` vs the committed one.
 
-CI regenerates the benchmark (``bench_lp_backends.py --quick``) and calls
-this script with the committed artifact as baseline.  For every (n, m)
-shape present in **both** files it computes the hybrid backend's slowdown
-and fails when the *median* slowdown exceeds the threshold (default 1.5×).
+CI regenerates the benchmark on a few shapes of the committed artifact
+(``bench_lp_backends.py --shapes …``) and calls this script with the
+committed artifact as baseline.  Every fresh (n, m) shape must have a
+baseline row — a fresh shape the baseline lacks fails the gate instead of
+quietly shrinking the sample.  Over the shapes both files measured it
+computes the hybrid backend's slowdown and fails when the *median*
+slowdown exceeds the threshold (default 1.5×).
 
 By default the slowdown is **normalized**: each file's hybrid seconds are
 divided by the *same run's* ``exact``-backend seconds before comparing, so
@@ -185,6 +188,18 @@ def main(argv: List[str] = None) -> int:
         baseline = json.load(fh)
     with open(args.fresh) as fh:
         fresh = json.load(fh)
+
+    missing = sorted(
+        set(_seconds_by_shape(fresh, args.backend))
+        - set(_seconds_by_shape(baseline, args.backend))
+    )
+    if missing:
+        print(
+            f"FAIL: fresh shape(s) {missing} have no {args.backend} row in the "
+            f"baseline — the median would silently cover fewer shapes; "
+            f"regenerate the committed artifact"
+        )
+        return 2
 
     normalize_by = None if args.absolute else args.normalize_by
     base_vals = _metric(baseline, args.backend, normalize_by)

@@ -19,8 +19,16 @@ is **incremental** end to end:
 
 * one :class:`IP3Builder` is shared across all probes — the closure is
   computed once, and each probe's rows are materialized by *masking* the
-  cached index templates on ``p ≤ T`` (:meth:`IP3Builder.probe_rows`), not
-  by rebuilding a keyed :class:`~repro.lp.model.LinearProgram`;
+  cached index templates (:meth:`IP3Builder.probe_rows`), not by
+  rebuilding a keyed :class:`~repro.lp.model.LinearProgram`.  Masks are
+  integer tests: every variable carries the rank of its ``p`` among the
+  breakpoints, so ``p ≤ T`` is ``rank ≤ horizon_rank(T)``;
+* the float leg is marshaled once per search as well: the builder keeps
+  one sparse :class:`~repro.lp.scipy_backend.FloatTemplate` of the
+  assignment and load blocks over all columns, and a probe that calls
+  HiGHS slices it to its active columns and converts only the right-hand
+  sides (:meth:`IP3Builder.float_program`).  HiGHS receives input bit-identical
+  to marshaling the probe's own rows, so every verdict is unchanged;
 * successive probes reuse the bracketing probes' outcomes: a still-valid
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
@@ -33,6 +41,7 @@ is **incremental** end to end:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -128,6 +137,51 @@ class IP3Builder:
         ]
         #: Processing time per global variable index.
         self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
+        #: Breakpoint rank per global variable index:
+        #: ``breakpoints[var_rank[gi]] == var_p[gi]``, so ``p ≤ T`` is the
+        #: integer test ``var_rank[gi] ≤ horizon_rank(T)``.
+        rank_of = {p: k for k, p in enumerate(self.breakpoints)}
+        self.var_rank: List[int] = [rank_of[p] for p in self.var_p]
+        #: Smallest horizon rank at which every job has an admissible pair
+        #: (``len(breakpoints)`` — never reached — when some job has none).
+        self.placement_rank: int = max(
+            (
+                min((self.var_rank[gi] for gi in gis), default=len(self.breakpoints))
+                for gis in self.assign_template
+            ),
+            default=-1,
+        )
+        self._float_template = None
+
+    def horizon_rank(self, T: Fraction) -> int:
+        """Index of the largest breakpoint ``≤ T`` (``-1`` below them all)."""
+        return bisect_right(self.breakpoints, T) - 1
+
+    def float_program(self, active: List[int], rhs: List[Fraction]):
+        """HiGHS input of the probe whose ``probe_rows`` gave *active*, *rhs*.
+
+        Sliced from one :class:`~repro.lp.scipy_backend.FloatTemplate` of
+        the assignment and load blocks over global columns, built on first
+        use; only the right-hand sides are converted per probe, the load
+        bounds from the exact products ``|α|·T`` in *rhs*
+        (``|α|·float(T)`` can differ in the last ulp).  Bit-identical to
+        marshaling ``probe_rows(T)`` itself.
+        """
+        if self._float_template is None:
+            from ..lp.scipy_backend import FloatTemplate
+
+            p_float = [float(p) for p in self.var_p]
+            rows: List[Dict[int, float]] = [
+                {gi: 1.0 for gi in gis} for gis in self.assign_template
+            ]
+            rows += [
+                {gi: p_float[gi] for gi, _p in entries}
+                for _alpha, entries in self.load_template_idx
+            ]
+            senses = ["=="] * len(self.assign_template)
+            senses += ["<="] * len(self.load_template_idx)
+            self._float_template = FloatTemplate(rows, senses, len(self.finite))
+        return self._float_template.program(active, rhs)
 
     def probe_rows(
         self, T: Fraction
@@ -138,10 +192,13 @@ class IP3Builder:
         local variable index → position in ``self.finite``.  Row order is
         the ``decision_lp`` order (all assignment rows, then all load rows),
         which is what keeps Farkas certificates transferable between
-        probes.  ``O(nnz)`` — a filter pass over cached index templates.
+        probes.  ``O(nnz)`` — a filter pass over cached index templates,
+        masking on the integer ``var_rank[gi] ≤ horizon_rank(T)`` rather
+        than on Fraction comparisons.
         """
-        var_p = self.var_p
-        active = [gi for gi in range(len(var_p)) if var_p[gi] <= T]
+        k = self.horizon_rank(T)
+        rank = self.var_rank
+        active = [gi for gi, r in enumerate(rank) if r <= k]
         local = {gi: li for li, gi in enumerate(active)}
         coeff_rows: List[Dict[int, Fraction]] = []
         senses: List[str] = []
@@ -149,13 +206,13 @@ class IP3Builder:
         one = Fraction(1)
         for j in range(self.instance.n):
             coeff_rows.append(
-                {local[gi]: one for gi in self.assign_template[j] if var_p[gi] <= T}
+                {local[gi]: one for gi in self.assign_template[j] if rank[gi] <= k}
             )
             senses.append("==")
             rhs.append(one)
         for alpha, entries in self.load_template_idx:
             coeff_rows.append(
-                {local[gi]: p for gi, p in entries if p <= T}
+                {local[gi]: p for gi, p in entries if rank[gi] <= k}
             )
             senses.append("<=")
             rhs.append(len(alpha) * T)
@@ -197,24 +254,26 @@ class IP3Builder:
         Returns ``None`` when some job has no admissible set at the anchor
         (the frozen-R program is then trivially infeasible).
         """
+        k = self.horizon_rank(r_anchor)
+        if k < self.placement_rank:
+            return None
+        rank = self.var_rank
+        keys = [("x", alpha, j) for j, alpha, _p in self.finite]
         lp = LinearProgram()
         lp.add_variable(T_KEY, lb=0)
-        by_job: Dict[int, List[MachineSet]] = {}
-        for j, alpha, p in self.finite:
-            if p <= r_anchor:
-                lp.add_variable(("x", alpha, j), lb=0)  # ub implied, see above
-                by_job.setdefault(j, []).append(alpha)
-        for j in range(self.instance.n):
-            if j not in by_job:
-                return None
+        for gi, key in enumerate(keys):
+            if rank[gi] <= k:
+                lp.add_variable(key, lb=0)  # ub implied, see above
+        for j, gis in enumerate(self.assign_template):
             lp.add_constraint(
-                {("x", alpha, j): 1 for alpha in by_job[j]}, "==", 1, name=f"assign[{j}]"
+                {keys[gi]: 1 for gi in gis if rank[gi] <= k},
+                "==", 1, name=f"assign[{j}]",
             )
-        for alpha in self.instance.family.sets:
+        for alpha, entries in self.load_template_idx:
             coeffs: Dict = {T_KEY: -len(alpha)}
-            for beta, j, p in self.load_template[alpha]:
-                if p <= r_anchor:
-                    coeffs[("x", beta, j)] = p
+            for gi, p in entries:
+                if rank[gi] <= k:
+                    coeffs[keys[gi]] = p
             lp.add_constraint(coeffs, "<=", 0, name=f"load[{sorted(alpha)}]")
         lp.add_constraint({T_KEY: 1}, ">=", t_low, name="bracket-low")
         lp.set_objective({T_KEY: 1})
@@ -294,15 +353,15 @@ class _ProbeSession:
         ``None`` for a certified infeasibility.
         """
         builder = self.builder
-        var_p = builder.var_p
+        rank = builder.var_rank
+        k = builder.horizon_rank(T)
         with trace_span("search.probe", T=str(T)) as probe_sp:
             # A job with no admissible pair at T is an unsatisfiable {} == 1
             # row; decide it structurally instead of building the LP.
-            for j in range(builder.instance.n):
-                if not any(var_p[gi] <= T for gi in builder.assign_template[j]):
-                    if probe_sp:
-                        probe_sp.attrs["outcome"] = "structurally-infeasible"
-                    return None
+            if k < builder.placement_rank:
+                if probe_sp:
+                    probe_sp.attrs["outcome"] = "structurally-infeasible"
+                return None
             coeff_rows, senses, rhs, active = builder.probe_rows(T)
             if self.farkas is not None and farkas_certifies(
                 coeff_rows, senses, rhs, self.farkas
@@ -314,7 +373,7 @@ class _ProbeSession:
             masked: Optional[List[Fraction]] = None
             if self.point is not None:
                 masked = [self.point.get(gi, Fraction(0)) for gi in active]
-                support_survives = all(var_p[gi] <= T for gi in self.point)
+                support_survives = all(rank[gi] <= k for gi in self.point)
                 if support_survives and check_standard_rows(
                     coeff_rows, senses, rhs, masked
                 ):
@@ -329,6 +388,7 @@ class _ProbeSession:
                     backend=self.backend, warm_point=masked,
                     warm_state=carried, structure_token=token,
                     want_state=True,
+                    _float_program=lambda: builder.float_program(active, rhs),
                 )
             if probe_sp:
                 probe_sp.attrs["basis_reuse"] = bool(probe_stats.basis_reuses)

@@ -9,7 +9,7 @@ certified but pays rational-pivoting cost from a cold start.
 ``hybrid`` composes the two so callers always get a guaranteed rational
 basic optimal solution at close to float speed:
 
-1. solve the LP with HiGHS (:func:`solve_standard_float`);
+1. solve the LP with HiGHS (:func:`float_candidate`);
 2. rationalize the candidate and read off its support;
 3. re-solve with the **exact** fraction-free simplex, warm-started by
    factorizing the candidate's support columns into the basis first
@@ -28,6 +28,15 @@ solver re-derives the verdict from scratch.
 Small programs skip HiGHS entirely (below :data:`_FLOAT_SIZE_CUTOFF` the
 fixed ``linprog`` overhead exceeds a full exact solve).  When scipy is not
 installed the backend degrades to the exact solver, keeping every guarantee.
+
+Marshaling lives in :mod:`repro.lp.scipy_backend`: :func:`float_candidate`
+and :func:`certify_infeasible` build sparse HiGHS input from the dict rows,
+or take a pre-marshaled :class:`~repro.lp.scipy_backend.FloatTemplate`
+slice (the ``T*`` search's probes); either way HiGHS receives the same
+bits.  Only the ``linprog`` call itself is guarded: a HiGHS exception or a
+status other than optimal/infeasible/unbounded falls back to the exact
+solve and records ``hybrid_fallback=<reason>`` on the open trace span,
+while a bug in marshaling or in reading the result raises.
 """
 
 from __future__ import annotations
@@ -40,16 +49,53 @@ from .certificates import denormalize_farkas, farkas_certifies
 from .simplex import SimplexResult, solve_standard, standard_form
 
 try:  # pragma: no cover - exercised implicitly on import
-    from .scipy_backend import solve_standard_float
+    from .scipy_backend import (
+        FloatProgram,
+        marshal_rows,
+        read_highs,
+        run_highs,
+        solve_empty,
+    )
 
     HAVE_SCIPY = True
 except ImportError:  # pragma: no cover - scipy is present in CI images
-    solve_standard_float = None  # type: ignore[assignment]
     HAVE_SCIPY = False
 
 #: Problems with (variables × rows) below this skip the float probe: the
 #: fixed cost of one ``linprog`` call exceeds a cold exact solve there.
 _FLOAT_SIZE_CUTOFF = 64
+
+#: ``linprog`` statuses the float leg interprets: optimal, infeasible,
+#: unbounded.  Anything else (iteration limit, numerical trouble) is a
+#: HiGHS failure and falls back to the exact solve.
+_HIGHS_VERDICTS = (0, 2, 3)
+
+
+def _note_fallback(reason: str) -> None:
+    """Put *reason* on the innermost open span (no-op when untraced)."""
+    from ..obs.trace import current_span
+
+    sp = current_span()
+    if sp is not None:
+        sp.attrs["hybrid_fallback"] = reason
+
+
+def _run_highs_guarded(program: FloatProgram):
+    """HiGHS on *program*, or ``None`` when HiGHS itself fails.
+
+    Only the ``linprog`` call is guarded: marshaling and reading the result
+    run outside, so a bug there raises instead of surfacing as a silent
+    exact re-solve.  Each fallback leaves its reason on the current span.
+    """
+    try:
+        result = run_highs(program)
+    except Exception as exc:
+        _note_fallback(f"highs-error: {type(exc).__name__}")
+        return None
+    if result.status not in _HIGHS_VERDICTS:
+        _note_fallback(f"highs-status: {result.status}")
+        return None
+    return result
 
 
 def float_candidate(
@@ -57,17 +103,26 @@ def float_candidate(
     senses: Sequence[str],
     rhs: Sequence[Fraction],
     objective: Sequence[Fraction],
+    program: Optional[FloatProgram] = None,
 ) -> Optional[SimplexResult]:
     """The HiGHS candidate, or ``None`` when scipy is missing or HiGHS fails.
 
     The result is *uncertified*: statuses and values are hints only.
+    *program* is these rows already marshaled for HiGHS (a
+    :class:`~repro.lp.scipy_backend.FloatTemplate` slice, bit-identical to
+    what :func:`~repro.lp.scipy_backend.marshal_rows` would build); without
+    it the rows are marshaled here.
     """
     if not HAVE_SCIPY:
         return None
-    try:
-        return solve_standard_float(coeff_rows, senses, rhs, objective)
-    except Exception:  # pragma: no cover - HiGHS internal failures
+    if not objective:
+        return solve_empty(senses, rhs)
+    if program is None:
+        program = marshal_rows(coeff_rows, senses, rhs, objective)
+    result = _run_highs_guarded(program)
+    if result is None:
         return None
+    return read_highs(result, objective)
 
 
 def certify_infeasible(
@@ -102,9 +157,6 @@ def certify_infeasible(
     """
     if not HAVE_SCIPY:
         return None
-    import numpy as np
-    from scipy.optimize import linprog
-
     if num_vars is None:
         num_vars = _num_vars(coeff_rows)
     std = standard_form(coeff_rows, senses, rhs, [Fraction(0)] * num_vars)
@@ -112,22 +164,20 @@ def certify_infeasible(
     if r == 0:
         return None  # x = 0 is feasible
     num_slack = sum(1 for s in std.slack_of_row if s is not None)
-    width = n + num_slack + r
-    a_eq = np.zeros((r, width))
+    art_start = n + num_slack
+    # [A | S | I] as "==" rows, marshaled sparse like any other program.
+    phase1_rows: List[Dict[int, object]] = []
     for i in range(r):
-        for j, v in std.rows[i].items():
-            a_eq[i][j] = float(v)
+        row: Dict[int, object] = dict(std.rows[i])
         if std.slack_of_row[i] is not None:
-            a_eq[i][std.slack_of_row[i]] = float(std.slack_sign[i])
-        a_eq[i][n + num_slack + i] = 1.0
-    b_eq = np.array([float(b) for b in std.rhs])
-    c = np.zeros(width)
-    c[n + num_slack:] = 1.0
-    try:
-        result = linprog(
-            c=c, A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * width, method="highs"
-        )
-    except Exception:  # pragma: no cover - HiGHS internal failures
+            row[std.slack_of_row[i]] = std.slack_sign[i]
+        row[art_start + i] = 1
+        phase1_rows.append(row)
+    program = marshal_rows(
+        phase1_rows, ["=="] * r, std.rhs, [0] * art_start + [1] * r
+    )
+    result = _run_highs_guarded(program)
+    if result is None:
         return None
     if result.status != 0 or result.fun < 1e-9 or result.eqlin is None:
         return None

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .._fraction import to_fraction
 from ..exceptions import SolverError
@@ -219,7 +219,7 @@ def check_standard_rows(
     that certifies float candidates — and re-certifies cached points in the
     incremental probe pipeline — without an exact solve.
     """
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in x if v):
         return False
     for row, sense, b in zip(coeff_rows, senses, rhs):
         lhs = sum((v * x[j] for j, v in row.items() if x[j]), Fraction(0))
@@ -244,6 +244,7 @@ def feasible_point_rows(
     warm_state: Optional[WarmState] = None,
     structure_token: object = None,
     want_state: bool = False,
+    _float_program: Optional[Callable[[], object]] = None,
 ):
     """Certified feasibility probe on raw standard rows.
 
@@ -264,6 +265,13 @@ def feasible_point_rows(
     final :class:`~repro.lp.warm.WarmState` — ``None`` on the float-certified
     shortcut (no exact basis existed) and on infeasibility.  Probe vertices
     are **not** canonicalized (feasibility verdicts are vertex-agnostic).
+
+    *_float_program* is internal: a zero-argument callable returning these
+    rows already marshaled for HiGHS (see
+    :meth:`repro.core.programs.IP3Builder.float_program`), called only when
+    the float leg runs.  It reaches HiGHS through :func:`float_candidate`
+    like any other candidate and changes no verdict — the marshaled input
+    is bit-identical to the one built from the rows.
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate
 
@@ -276,7 +284,10 @@ def feasible_point_rows(
     )
     objective = [Fraction(0)] * num_vars
     if use_float:
-        candidate = float_candidate(coeff_rows, senses, rhs, objective)
+        program = _float_program() if _float_program is not None else None
+        candidate = float_candidate(
+            coeff_rows, senses, rhs, objective, program=program
+        )
         if candidate is not None and candidate.status == "optimal":
             if check_standard_rows(coeff_rows, senses, rhs, candidate.x):
                 # Certified by the re-check; no exact basis to carry.

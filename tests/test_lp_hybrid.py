@@ -181,6 +181,115 @@ class TestPivotAccounting:
             solve_lp(lp, backend="cplex")
 
 
+def _assignment_lp():
+    """Large enough (12 variables × 6 rows) for the hybrid float leg."""
+    lp = LinearProgram()
+    for j in range(12):
+        lp.add_variable(("x", j), lb=0)
+    for block in range(4):
+        lp.add_constraint(
+            {("x", j): 1 for j in range(3 * block, 3 * block + 3)}, "==", 1
+        )
+    lp.add_constraint({("x", j): Fraction(j + 1) for j in range(12)}, "<=", 30)
+    lp.add_constraint({("x", j): 1 for j in range(0, 12, 2)}, ">=", 1)
+    lp.set_objective({("x", j): Fraction((5 * j) % 7 + 1) for j in range(12)})
+    return lp
+
+
+def _fallback_reasons(tracer):
+    return [
+        sp.attrs["hybrid_fallback"]
+        for sp in tracer.spans
+        if "hybrid_fallback" in sp.attrs
+    ]
+
+
+class TestHighsFallback:
+    """Only a HiGHS failure falls back to the exact solve, and it says why."""
+
+    def test_marshaling_bug_propagates(self, monkeypatch):
+        import repro.lp.hybrid as hybrid_mod
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("marshaling bug")
+
+        monkeypatch.setattr(hybrid_mod, "marshal_rows", broken)
+        with pytest.raises(RuntimeError, match="marshaling bug"):
+            solve_lp(_assignment_lp(), backend="hybrid")
+
+    def test_template_bug_propagates(self, monkeypatch):
+        from repro.core.programs import minimal_fractional_T
+        from repro.lp.scipy_backend import FloatTemplate
+        from repro.workloads import random_hierarchical, rng_from_seed
+
+        def broken(self, active, rhs):
+            raise RuntimeError("template bug")
+
+        monkeypatch.setattr(FloatTemplate, "program", broken)
+        inst = random_hierarchical(rng_from_seed(140), n=16, m=6)
+        with pytest.raises(RuntimeError, match="template bug"):
+            minimal_fractional_T(inst, backend="hybrid")
+
+    def test_highs_error_falls_back_with_reason(self, monkeypatch):
+        import repro.lp.scipy_backend as scipy_mod
+        from repro.obs.trace import span, tracing
+
+        lp = _assignment_lp()
+        exact = solve_lp(lp, backend="exact")
+
+        def failing(*args, **kwargs):
+            raise ValueError("HiGHS exploded")
+
+        monkeypatch.setattr(scipy_mod, "linprog", failing)
+        with tracing() as tracer:
+            with span("test.solve"):
+                hybrid = solve_lp(lp, backend="hybrid")
+        assert hybrid.status == exact.status == "optimal"
+        assert hybrid.objective == exact.objective
+        assert hybrid.values == exact.values
+        assert _fallback_reasons(tracer) == ["highs-error: ValueError"]
+
+    def test_highs_failure_status_falls_back_with_reason(self, monkeypatch):
+        import repro.lp.scipy_backend as scipy_mod
+        from scipy.optimize import OptimizeResult
+
+        from repro.obs.trace import span, tracing
+
+        lp = _assignment_lp()
+        exact = solve_lp(lp, backend="exact")
+
+        def struggling(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties")
+
+        monkeypatch.setattr(scipy_mod, "linprog", struggling)
+        with tracing() as tracer:
+            with span("test.solve"):
+                hybrid = solve_lp(lp, backend="hybrid")
+        assert hybrid.objective == exact.objective
+        assert _fallback_reasons(tracer) == ["highs-status: 4"]
+
+    def test_search_falls_back_to_exact_t_star(self, monkeypatch):
+        import repro.lp.scipy_backend as scipy_mod
+        from repro.core.programs import minimal_fractional_T
+        from repro.obs.trace import tracing
+        from repro.workloads import random_hierarchical, rng_from_seed
+
+        inst = random_hierarchical(rng_from_seed(140), n=16, m=6)
+        expected = minimal_fractional_T(inst, backend="exact")
+
+        def failing(*args, **kwargs):
+            raise ValueError("HiGHS exploded")
+
+        monkeypatch.setattr(scipy_mod, "linprog", failing)
+        with tracing() as tracer:
+            assert minimal_fractional_T(inst, backend="hybrid") == expected
+        probes = [sp for sp in tracer.spans if sp.name == "search.probe"]
+        assert any(
+            sp.attrs.get("hybrid_fallback") == "highs-error: ValueError"
+            for sp in probes
+        )
+
+
 @st.composite
 def random_lp(draw):
     n = draw(st.integers(1, 4))

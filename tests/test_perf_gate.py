@@ -1,12 +1,13 @@
-"""The counter gate of ``benchmarks/check_perf_regression.py`` fails closed."""
+"""The gates of ``benchmarks/check_perf_regression.py`` fail closed."""
 
+import json
 import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
 
-from check_perf_regression import check_counters  # noqa: E402
+from check_perf_regression import check_counters, main  # noqa: E402
 
 
 def _payload(*rows):
@@ -29,3 +30,34 @@ def test_disjoint_labels_fail():
 def test_counterless_baseline_skips():
     old = {k: v for k, v in ROW.items() if k not in ("pivots", "refactorizations")}
     assert check_counters(_payload(old), _payload(ROW), 1.1, 4) == 0
+
+
+def _timing_rows(shapes, hybrid_seconds=1.0):
+    rows = []
+    for n, m in shapes:
+        for backend, seconds in (("exact", 2.0), ("hybrid", hybrid_seconds)):
+            rows.append({"backend": backend, "kernel": "revised", "n": n,
+                         "m": m, "seconds": seconds, "T_star": f"{n}/{m}",
+                         "pivots": 10, "refactorizations": 1})
+    return {"rows": rows}
+
+
+def _gate(tmp_path, baseline, fresh):
+    paths = []
+    for name, payload in (("baseline.json", baseline), ("fresh.json", fresh)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    return main(paths)
+
+
+def test_all_fresh_shapes_in_baseline_pass(tmp_path):
+    shapes = [(16, 6), (24, 8), (32, 10)]
+    baseline = _timing_rows(shapes + [(64, 16)])
+    assert _gate(tmp_path, baseline, _timing_rows(shapes)) == 0
+
+
+def test_fresh_shape_missing_from_baseline_fails(tmp_path):
+    baseline = _timing_rows([(10, 4), (16, 6)])
+    fresh = _timing_rows([(16, 6), (24, 8), (32, 10)])
+    assert _gate(tmp_path, baseline, fresh) != 0

@@ -353,6 +353,50 @@ class TestHybridCertification:
         assert solution.is_optimal
 
 
+    def _attack_search(self, monkeypatch, fake):
+        """``minimal_fractional_T`` with *fake* as the float candidate on
+        every probe and min-T solve; returns (T*, templated calls)."""
+        import repro.lp.hybrid as hybrid_mod
+        from repro.workloads import random_hierarchical
+
+        inst = random_hierarchical(rng_from_seed(140), n=16, m=6)
+        expected = minimal_fractional_T(inst, backend="exact")
+        templated = []
+
+        def spy(coeff_rows, senses, rhs, objective, program=None):
+            if program is not None:
+                templated.append(program)
+            return fake(objective)
+
+        monkeypatch.setattr(hybrid_mod, "float_candidate", spy)
+        assert minimal_fractional_T(inst, backend="hybrid") == expected
+        return templated
+
+    def test_search_rejects_optimality_at_infeasible_point(self, monkeypatch):
+        """Probe and min-T candidates claiming optimality at an infeasible
+        point are re-checked and repaired: T* is the exact backend's."""
+        from repro.lp.simplex import SimplexResult
+
+        templated = self._attack_search(
+            monkeypatch,
+            lambda objective: SimplexResult(
+                "optimal", [Fraction(5)] * len(objective), Fraction(0), None
+            ),
+        )
+        assert templated  # the probes' template path was attacked
+
+    def test_search_rejects_false_infeasibility(self, monkeypatch):
+        """A false "infeasible" never ends a probe without an exact Farkas
+        certificate: T* is the exact backend's."""
+        from repro.lp.simplex import SimplexResult
+
+        templated = self._attack_search(
+            monkeypatch,
+            lambda objective: SimplexResult("infeasible", [], None, None),
+        )
+        assert templated
+
+
 class TestCertificates:
     def test_denormalize_flips_negative_rhs_rows(self):
         y = [Fraction(1), Fraction(2)]
