@@ -2,11 +2,12 @@
 
 CI regenerates the benchmark on a few shapes of the committed artifact
 (``bench_lp_backends.py --shapes …``) and calls this script with the
-committed artifact as baseline.  Every fresh (n, m) shape must have a
-baseline row — a fresh shape the baseline lacks fails the gate instead of
-quietly shrinking the sample.  Over the shapes both files measured it
-computes the hybrid backend's slowdown and fails when the *median*
-slowdown exceeds the threshold (default 1.5×).
+committed artifact as baseline.  Every fresh (n, m) shape must be
+measurable in both files — a positive hybrid time and, unless
+``--absolute``, a positive ``--normalize-by`` time in each — so a missing
+or zero row fails the gate instead of quietly shrinking the sample.  Over
+those shapes it computes the hybrid backend's slowdown and fails when the
+*median* slowdown exceeds the threshold (default 1.5×).
 
 By default the slowdown is **normalized**: each file's hybrid seconds are
 divided by the *same run's* ``exact``-backend seconds before comparing, so
@@ -80,15 +81,19 @@ def _t_star_by_shape(payload: Dict, backend: str) -> Dict[Shape, str]:
 def _metric(
     payload: Dict, backend: str, normalize_by: Optional[str]
 ) -> Dict[Shape, float]:
+    """The gated value per shape; shapes without a positive *backend*
+    time (or, when normalizing, a positive *normalize_by* time) are absent."""
     secs = _seconds_by_shape(payload, backend)
-    if normalize_by is None:
-        return secs
-    ref = _seconds_by_shape(payload, normalize_by)
-    return {
-        shape: secs[shape] / ref[shape]
-        for shape in secs
-        if shape in ref and ref[shape] > 0
-    }
+    ref = None if normalize_by is None else _seconds_by_shape(payload, normalize_by)
+    out: Dict[Shape, float] = {}
+    for shape, seconds in secs.items():
+        if seconds <= 0:
+            continue
+        if ref is None:
+            out[shape] = seconds
+        elif ref.get(shape, 0) > 0:
+            out[shape] = seconds / ref[shape]
+    return out
 
 
 #: Counters gated per row.  Deterministic given (code, instance), so the
@@ -189,31 +194,26 @@ def main(argv: List[str] = None) -> int:
     with open(args.fresh) as fh:
         fresh = json.load(fh)
 
-    missing = sorted(
-        set(_seconds_by_shape(fresh, args.backend))
-        - set(_seconds_by_shape(baseline, args.backend))
-    )
-    if missing:
-        print(
-            f"FAIL: fresh shape(s) {missing} have no {args.backend} row in the "
-            f"baseline — the median would silently cover fewer shapes; "
-            f"regenerate the committed artifact"
-        )
-        return 2
-
     normalize_by = None if args.absolute else args.normalize_by
     base_vals = _metric(baseline, args.backend, normalize_by)
     fresh_vals = _metric(fresh, args.backend, normalize_by)
-    common = sorted(set(base_vals) & set(fresh_vals))
+    common = sorted(_seconds_by_shape(fresh, args.backend))
     if not common:
+        print(f"FAIL: the fresh file has no {args.backend} rows")
+        return 2
+    unmeasured = [s for s in common if s not in base_vals or s not in fresh_vals]
+    if unmeasured:
+        needs = f"a positive {args.backend} time"
+        if normalize_by is not None:
+            needs += f" and a positive {normalize_by} time"
         print(
-            f"FAIL: no common (n, m) shapes between baseline {sorted(base_vals)} "
-            f"and fresh {sorted(fresh_vals)} — regenerate the committed artifact"
+            f"FAIL: fresh shape(s) {unmeasured} lack {needs} in the baseline "
+            f"or the fresh file — the median would silently cover fewer "
+            f"shapes; regenerate the committed artifact"
         )
         return 2
 
-    # Drift is checked on every shape both files measured — including any a
-    # zero-rounded reference timing excluded from the slowdown metric.
+    # Drift is checked on every shape both files measured.
     base_t = _t_star_by_shape(baseline, args.backend)
     fresh_t = _t_star_by_shape(fresh, args.backend)
     for shape in sorted(set(base_t) & set(fresh_t)):
@@ -227,7 +227,7 @@ def main(argv: List[str] = None) -> int:
     unit = "s" if args.absolute else f"x {args.normalize_by}"
     slowdowns = []
     for shape in common:
-        ratio = fresh_vals[shape] / base_vals[shape] if base_vals[shape] > 0 else 1.0
+        ratio = fresh_vals[shape] / base_vals[shape]
         slowdowns.append(ratio)
         print(
             f"n={shape[0]:3d} m={shape[1]:3d} {args.backend}: "

@@ -52,9 +52,8 @@ try:  # pragma: no cover - exercised implicitly on import
     from .scipy_backend import (
         FloatProgram,
         marshal_rows,
-        read_highs,
         run_highs,
-        solve_empty,
+        solve_standard_float,
     )
 
     HAVE_SCIPY = True
@@ -115,14 +114,10 @@ def float_candidate(
     """
     if not HAVE_SCIPY:
         return None
-    if not objective:
-        return solve_empty(senses, rhs)
-    if program is None:
-        program = marshal_rows(coeff_rows, senses, rhs, objective)
-    result = _run_highs_guarded(program)
-    if result is None:
-        return None
-    return read_highs(result, objective)
+    return solve_standard_float(
+        coeff_rows, senses, rhs, objective,
+        program=program, run=_run_highs_guarded,
+    )
 
 
 def certify_infeasible(

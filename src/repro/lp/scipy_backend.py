@@ -27,7 +27,7 @@ therefore do not depend on which path marshaled them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -187,10 +187,40 @@ def rationalize_point(values, max_denominator: int = 10**6) -> List[Fraction]:
     return x
 
 
-def read_highs(
-    result, objective: Sequence[Fraction], max_denominator: int = 10**6
-) -> SimplexResult:
-    """Map a ``linprog`` result onto the exact solver's vocabulary."""
+def solve_standard_float(
+    coeff_rows: Sequence[Dict[int, Fraction]],
+    senses: Sequence[str],
+    rhs: Sequence[Fraction],
+    objective: Sequence[Fraction],
+    max_denominator: int = 10**6,
+    program: Optional[FloatProgram] = None,
+    run: Callable[[FloatProgram], object] = run_highs,
+) -> Optional[SimplexResult]:
+    """Solve the same standard form as the exact simplex, via HiGHS.
+
+    The result's ``x`` is rationalized (``limit_denominator``) so downstream
+    exact checks can run; statuses map onto the exact solver's vocabulary.
+
+    *program* is these rows already marshaled (a :class:`FloatTemplate`
+    slice, bit-identical to :func:`marshal_rows`); without it the rows are
+    marshaled here.  *run* is the step that calls HiGHS: the hybrid
+    backend passes one that returns ``None`` when HiGHS itself fails, and
+    this function then returns ``None`` too.
+    """
+    if not objective:
+        # linprog rejects empty programs; decide them exactly right here.
+        # (The IP-3 builders encode "job has no options" as a {} == 1 row.)
+        for sense, b in zip(senses, rhs):
+            b = Fraction(b)
+            ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else b == 0
+            if not ok:
+                return SimplexResult("infeasible", [], None, None)
+        return SimplexResult("optimal", [], Fraction(0), [])
+    if program is None:
+        program = marshal_rows(coeff_rows, senses, rhs, objective)
+    result = run(program)
+    if result is None:
+        return None
     if result.status == 2:
         return SimplexResult("infeasible", [], None, None)
     if result.status == 3:
@@ -203,34 +233,3 @@ def read_highs(
         _ZERO,
     )
     return SimplexResult("optimal", x, objective_value, None)
-
-
-def solve_empty(senses: Sequence[str], rhs: Sequence[Fraction]) -> SimplexResult:
-    """Decide a program without columns exactly (``linprog`` rejects it).
-
-    The IP-3 builders encode "job has no options" as a ``{} == 1`` row.
-    """
-    for sense, b in zip(senses, rhs):
-        b = Fraction(b)
-        ok = (b >= 0) if sense == "<=" else (b <= 0) if sense == ">=" else b == 0
-        if not ok:
-            return SimplexResult("infeasible", [], None, None)
-    return SimplexResult("optimal", [], Fraction(0), [])
-
-
-def solve_standard_float(
-    coeff_rows: Sequence[Dict[int, Fraction]],
-    senses: Sequence[str],
-    rhs: Sequence[Fraction],
-    objective: Sequence[Fraction],
-    max_denominator: int = 10**6,
-) -> SimplexResult:
-    """Solve the same standard form as the exact simplex, via HiGHS.
-
-    The result's ``x`` is rationalized (``limit_denominator``) so downstream
-    exact checks can run; statuses map onto the exact solver's vocabulary.
-    """
-    if not objective:
-        return solve_empty(senses, rhs)
-    program = marshal_rows(coeff_rows, senses, rhs, objective)
-    return read_highs(run_highs(program), objective, max_denominator)

@@ -208,12 +208,12 @@ class TestHighsFallback:
     """Only a HiGHS failure falls back to the exact solve, and it says why."""
 
     def test_marshaling_bug_propagates(self, monkeypatch):
-        import repro.lp.hybrid as hybrid_mod
+        import repro.lp.scipy_backend as scipy_mod
 
         def broken(*args, **kwargs):
             raise RuntimeError("marshaling bug")
 
-        monkeypatch.setattr(hybrid_mod, "marshal_rows", broken)
+        monkeypatch.setattr(scipy_mod, "marshal_rows", broken)
         with pytest.raises(RuntimeError, match="marshaling bug"):
             solve_lp(_assignment_lp(), backend="hybrid")
 

@@ -61,3 +61,38 @@ def test_fresh_shape_missing_from_baseline_fails(tmp_path):
     baseline = _timing_rows([(10, 4), (16, 6)])
     fresh = _timing_rows([(16, 6), (24, 8), (32, 10)])
     assert _gate(tmp_path, baseline, fresh) != 0
+
+
+def _without(payload, backend, shape):
+    rows = [
+        r for r in payload["rows"]
+        if not (r["backend"] == backend and (r["n"], r["m"]) == shape)
+    ]
+    return {"rows": rows}
+
+
+def test_normalizing_row_missing_from_baseline_fails(tmp_path):
+    shapes = [(16, 6), (24, 8), (32, 10)]
+    baseline = _without(_timing_rows(shapes), "exact", (24, 8))
+    assert _gate(tmp_path, baseline, _timing_rows(shapes)) != 0
+
+
+def test_zero_normalizing_time_fails(tmp_path):
+    shapes = [(16, 6), (24, 8), (32, 10)]
+    fresh = _timing_rows(shapes)
+    for row in fresh["rows"]:
+        if row["backend"] == "exact" and (row["n"], row["m"]) == (32, 10):
+            row["seconds"] = 0.0
+    assert _gate(tmp_path, _timing_rows(shapes), fresh) != 0
+
+
+def test_absolute_mode_needs_no_normalizing_rows(tmp_path):
+    shapes = [(16, 6), (24, 8)]
+    baseline = _without(_timing_rows(shapes), "exact", (24, 8))
+    fresh = _without(_timing_rows(shapes), "exact", (16, 6))
+    paths = []
+    for name, payload in (("baseline.json", baseline), ("fresh.json", fresh)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        paths.append(str(path))
+    assert main(paths + ["--absolute"]) == 0
