@@ -315,11 +315,8 @@ def _render_store_profile(store, ids: Optional[List[str]] = None) -> None:
     print("per-experiment solver counters (store index):")
     for name in sorted(totals):
         s = totals[name]
-        kernels = ", ".join(
-            f"{k}×{v}" for k, v in sorted(s.kernels.items())
-        ) or "none"
         print(
-            f"  {name}: solves={s.solves} ({kernels}) pivots={s.pivots} "
+            f"  {name}: solves={s.solves} pivots={s.pivots} "
             f"refactorizations={s.refactorizations} "
             f"cache={s.cache_hits}h/{s.cache_misses}m"
         )

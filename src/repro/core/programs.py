@@ -50,7 +50,7 @@ from ..exceptions import InfeasibleError, InvalidInstanceError
 from ..lp.certificates import farkas_certifies
 from ..lp.model import LinearProgram
 from ..lp.solve import check_standard_rows, feasible_point, feasible_point_rows, solve_lp
-from ..lp.stats import SolverStats, collect_stats, record
+from ..lp.stats import SolverStats, record
 from ..lp.warm import WarmState
 from ..obs.trace import span as trace_span
 from .assignment import FractionalAssignment
@@ -382,16 +382,16 @@ class _ProbeSession:
                         probe_sp.attrs["outcome"] = "point-reuse"
                     return self.point
             carried, token = self._carried_state(active)
-            with collect_stats() as probe_stats:
-                point, farkas, state = feasible_point_rows(
-                    coeff_rows, senses, rhs, len(active),
-                    backend=self.backend, warm_point=masked,
-                    warm_state=carried, structure_token=token,
-                    want_state=True,
-                    _float_program=lambda: builder.float_program(active, rhs),
-                )
+            point, farkas, state = feasible_point_rows(
+                coeff_rows, senses, rhs, len(active),
+                backend=self.backend, warm_point=masked,
+                warm_state=carried, structure_token=token,
+                want_state=True,
+                _float_program=lambda: builder.float_program(active, rhs),
+            )
             if probe_sp:
-                probe_sp.attrs["basis_reuse"] = bool(probe_stats.basis_reuses)
+                # The span has seen no solve but this one.
+                probe_sp.attrs["basis_reuse"] = bool(probe_sp.stats.basis_reuses)
             if state is not None:
                 self.state = state
                 self.state_active = tuple(active)

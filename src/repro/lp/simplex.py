@@ -267,7 +267,6 @@ class _RevisedSolver:
             raise SolverError(f"unknown pricing rule {pricing!r}")
         self.pricing = pricing
         self.stats = SolverStats(solves=1)
-        self.stats.count_kernel("revised")
         self.phase = 2
 
         # Row scales: every constraint row becomes integer; slacks and

@@ -16,9 +16,6 @@ Backends
     Same guarantees as ``"exact"``, close to ``"scipy"`` speed on anything
     large enough for the float probe to pay off.  Degrades to ``"exact"``
     when scipy is unavailable.
-``"auto"``
-    ``"exact"`` for small programs, ``"hybrid"`` beyond
-    :data:`_AUTO_SIZE_LIMIT`.
 
 Every exact solve runs the one fraction-free revised simplex of
 :mod:`repro.lp.simplex`.  ``canonical=True`` pins Dantzig pricing for a
@@ -53,14 +50,8 @@ else:  # pragma: no cover - scipy is present in CI images
 
 BACKENDS = ("exact", "scipy", "hybrid")
 
-#: Problem size (variables × rows) above which "auto" prefers hybrid.
-_AUTO_SIZE_LIMIT = 20000
 
-
-def _resolve_backend(backend: str, lp: LinearProgram) -> str:
-    if backend == "auto":
-        size = lp.num_variables * max(lp.num_constraints, 1)
-        backend = "exact" if size <= _AUTO_SIZE_LIMIT else "hybrid"
+def _resolve_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     if backend in ("scipy", "hybrid") and not HAVE_SCIPY:
@@ -167,7 +158,7 @@ def solve_lp(
     warm-start-independent lex-min vertex, ``False`` whatever vertex the solve lands
     on (probe-style callers that only consume values).
     """
-    backend = _resolve_backend(backend, lp)
+    backend = _resolve_backend(backend)
     coeff_rows, senses, rhs, objective = lp.to_standard_rows()
     local_state = None
     if warm_state is not None and backend in ("exact", "hybrid"):
@@ -275,10 +266,10 @@ def feasible_point_rows(
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF, certify_infeasible, float_candidate
 
-    if backend not in BACKENDS and backend != "auto":
+    if backend not in BACKENDS:
         raise SolverError(f"unknown backend {backend!r}; choose from {BACKENDS}")
     use_float = (
-        backend in ("hybrid", "scipy", "auto")
+        backend in ("hybrid", "scipy")
         and HAVE_SCIPY
         and num_vars * max(len(coeff_rows), 1) >= _FLOAT_SIZE_CUTOFF
     )
@@ -341,7 +332,7 @@ def feasible_point(
     """
     from .hybrid import _FLOAT_SIZE_CUTOFF
 
-    backend = _resolve_backend(backend, lp)
+    backend = _resolve_backend(backend)
     size = lp.num_variables * max(lp.num_constraints, 1)
     if backend == "hybrid" and size < _FLOAT_SIZE_CUTOFF:
         backend = "exact"  # linprog overhead exceeds a cold exact solve

@@ -21,21 +21,19 @@ The sweep runner closes the per-process gap by running every task inside a
 scope and handing the aggregate back to the driver (see
 :mod:`repro.runner.executor`), where it is persisted in the store index.
 
-Besides scopes, :func:`record` notifies registered **sinks** — callbacks the
-tracing layer (:mod:`repro.obs`) uses to attach counter deltas to the open
-spans.  Sinks observe the same stream the scopes aggregate; they must never
-influence it, so a sink that itself calls :func:`record` re-entrantly only
-updates scopes (the sink fan-out is suppressed while a sink is running —
-otherwise one badly-written sink could recurse forever), and both scopes and
-sinks are iterated over snapshots so a callback that opens or closes scopes
-mid-record cannot corrupt the dispatch.
+The scopes are one stack of accumulators, and the tracing layer
+(:mod:`repro.obs`) shares it: an open span pushes its ``stats`` with
+:func:`open_scope` and pops it with :func:`close_scope`, exactly like a
+scope.  :func:`record` therefore has one fan-out — each delta is added to
+every open accumulator, scope or span — and a parent span aggregates its
+children's counters just as an outer scope aggregates an inner one's.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterator, List
 
 
 @dataclass
@@ -84,94 +82,35 @@ class SolverStats:
     task_retries: int = 0
     tasks_quarantined: int = 0
     budget_kills: int = 0
-    #: Solve count per kernel name ("revised", "float").
-    kernels: Dict[str, int] = field(default_factory=dict)
-
-    def count_kernel(self, kernel: str) -> None:
-        self.kernels[kernel] = self.kernels.get(kernel, 0) + 1
 
     def add(self, other: "SolverStats") -> None:
-        self.solves += other.solves
-        self.pivots += other.pivots
-        self.phase1_pivots += other.phase1_pivots
-        self.refactorizations += other.refactorizations
-        self.warm_start_attempts += other.warm_start_attempts
-        self.warm_start_hits += other.warm_start_hits
-        self.point_reuses += other.point_reuses
-        self.farkas_reuses += other.farkas_reuses
-        self.basis_reuses += other.basis_reuses
-        self.crash_skips += other.crash_skips
-        self.sparse_btrans += other.sparse_btrans
-        self.warm_key_drops += other.warm_key_drops
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.task_retries += other.task_retries
-        self.tasks_quarantined += other.tasks_quarantined
-        self.budget_kills += other.budget_kills
-        for kernel, count in other.kernels.items():
-            self.kernels[kernel] = self.kernels.get(kernel, 0) + count
+        for name in _COUNTERS:
+            value = getattr(other, name)
+            if value:
+                setattr(self, name, getattr(self, name) + value)
 
-    def to_json(self) -> Dict[str, Any]:
-        """Exact JSON-ready form (plain ints; ``kernels`` copied).
+    def to_json(self) -> Dict[str, int]:
+        """Exact JSON-ready form (plain ints, one key per counter).
 
         The wire format of the sweep hand-back: workers serialize their
         per-task aggregate, the driver and ``repro report --profile``
         rebuild it with :meth:`from_json`.  Round-trip is exact — every
-        counter is an int and the ``kernels`` dict is copied, not shared.
+        counter is an int.
         """
-        return {
-            "solves": self.solves,
-            "pivots": self.pivots,
-            "phase1_pivots": self.phase1_pivots,
-            "refactorizations": self.refactorizations,
-            "warm_start_attempts": self.warm_start_attempts,
-            "warm_start_hits": self.warm_start_hits,
-            "point_reuses": self.point_reuses,
-            "farkas_reuses": self.farkas_reuses,
-            "basis_reuses": self.basis_reuses,
-            "crash_skips": self.crash_skips,
-            "sparse_btrans": self.sparse_btrans,
-            "warm_key_drops": self.warm_key_drops,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "task_retries": self.task_retries,
-            "tasks_quarantined": self.tasks_quarantined,
-            "budget_kills": self.budget_kills,
-            "kernels": dict(self.kernels),
-        }
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     @classmethod
     def from_json(cls, payload: Dict[str, Any]) -> "SolverStats":
         """Inverse of :meth:`to_json`; unknown keys are ignored, missing
         ones default to 0 (an older artifact stays readable)."""
-        stats = cls(
-            **{
-                name: int(payload.get(name, 0))
-                for name in (
-                    "solves", "pivots", "phase1_pivots", "refactorizations",
-                    "warm_start_attempts", "warm_start_hits",
-                    "point_reuses", "farkas_reuses",
-                    "basis_reuses", "crash_skips",
-                    "sparse_btrans", "warm_key_drops",
-                    "cache_hits", "cache_misses",
-                    "task_retries", "tasks_quarantined", "budget_kills",
-                )
-            }
-        )
-        stats.kernels = {
-            str(k): int(v) for k, v in dict(payload.get("kernels", {})).items()
-        }
-        return stats
+        return cls(**{name: int(payload.get(name, 0)) for name in _COUNTERS})
 
     def render(self) -> str:
         """One human-readable block (the ``--profile`` output)."""
-        kernels = ", ".join(
-            f"{name}×{count}" for name, count in sorted(self.kernels.items())
-        ) or "none"
         return "\n".join(
             [
                 "solver profile:",
-                f"  solves            {self.solves}  ({kernels})",
+                f"  solves            {self.solves}",
                 f"  pivots            {self.pivots}  (phase 1: {self.phase1_pivots})",
                 f"  refactorizations  {self.refactorizations}",
                 f"  warm starts       {self.warm_start_hits}/{self.warm_start_attempts} hits",
@@ -190,76 +129,49 @@ class SolverStats:
         )
 
 
-#: Active aggregation scopes (innermost last).  Module state: cheap, and the
-#: solver hot path must not pay for collection when nothing listens.
+#: Field names, in declaration order: the one list every method iterates.
+_COUNTERS = tuple(f.name for f in fields(SolverStats))
+
+#: Open accumulators (innermost last): ``collect_stats`` scopes and the
+#: ``stats`` of open trace spans.  Module state: cheap, and the solver hot
+#: path must not pay for collection when nothing listens.
 _scopes: List[SolverStats] = []
-
-#: Registered observer callbacks (the tracing layer's span attachment).
-_sinks: List[Callable[[SolverStats], None]] = []
-
-#: True while sink callbacks are running: a sink that re-enters record()
-#: must not fan out to sinks again (scopes still aggregate normally).
-_in_sinks = False
-
-
-def add_sink(sink: Callable[[SolverStats], None]) -> None:
-    """Register *sink* to observe every :func:`record` call.
-
-    Sinks are observers, not aggregators: they receive the same
-    :class:`SolverStats` deltas the scopes sum, and must not mutate them.
-    """
-    _sinks.append(sink)
-
-
-def remove_sink(sink: Callable[[SolverStats], None]) -> None:
-    """Unregister *sink* (by identity; a no-op if it is not registered)."""
-    for i in range(len(_sinks) - 1, -1, -1):
-        if _sinks[i] is sink:
-            del _sinks[i]
-            break
 
 
 def record(stats: SolverStats) -> None:
-    """Add *stats* to every active scope and notify sinks (no-op when none).
-
-    Both fan-outs iterate over snapshots: a sink (or a re-entrant caller)
-    that opens or closes scopes mid-dispatch cannot corrupt the iteration,
-    and a scope torn down concurrently simply stops receiving.  Re-entrant
-    ``record`` calls made *from* a sink update scopes but skip the sink
-    fan-out — tracing a span must never recurse into tracing.
-    """
-    global _in_sinks
-    for scope in tuple(_scopes):
+    """Add *stats* to every open accumulator (a no-op when none is open)."""
+    for scope in _scopes:
         scope.add(stats)
-    if _sinks and not _in_sinks:
-        _in_sinks = True
-        try:
-            for sink in tuple(_sinks):
-                sink(stats)
-        finally:
-            _in_sinks = False
+
+
+def open_scope(scope: SolverStats) -> None:
+    """Push *scope* onto the accumulator stack."""
+    _scopes.append(scope)
+
+
+def close_scope(scope: SolverStats) -> None:
+    """Remove *scope* from the stack (a no-op if it is not there).
+
+    Removal is by identity wherever the scope sits, so scopes unwound out
+    of order (generators closed late, exceptions propagating through
+    several nested scopes at once) each remove exactly themselves and never
+    leak.  Not ``list.remove``: SolverStats is a value-comparing dataclass,
+    and a nested scope can hold exactly the outer scope's counters, so
+    equality would pop the wrong — outermost equal — scope.
+    """
+    for i in range(len(_scopes) - 1, -1, -1):
+        if _scopes[i] is scope:
+            del _scopes[i]
+            break
 
 
 @contextmanager
 def collect_stats() -> Iterator[SolverStats]:
-    """Aggregate the stats of every solve performed inside the scope.
-
-    Teardown is exception-safe and order-independent: the scope is removed
-    by identity wherever it sits in the stack, so scopes unwound out of
-    order (e.g. generators closed late, or exceptions propagating through
-    several nested scopes at once) each remove exactly themselves and never
-    leak — re-entrant :func:`record` calls from sink callbacks included.
-    """
+    """Aggregate the stats of every solve performed inside the scope
+    (exception-safe; see :func:`close_scope` for the teardown)."""
     scope = SolverStats()
-    _scopes.append(scope)
+    open_scope(scope)
     try:
         yield scope
     finally:
-        # Remove by identity, not ==: SolverStats is a value-comparing
-        # dataclass, and a nested scope can hold exactly the outer scope's
-        # counters (record() feeds both), so list.remove would pop the
-        # wrong — outermost equal — scope.
-        for i in range(len(_scopes) - 1, -1, -1):
-            if _scopes[i] is scope:
-                del _scopes[i]
-                break
+        close_scope(scope)

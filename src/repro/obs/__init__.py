@@ -5,8 +5,10 @@ The layer every perf claim and the future service daemon report through:
 * :mod:`repro.obs.trace` — :class:`Span` / :class:`Tracer` and the
   module-level :func:`span` context manager the solver stack is
   instrumented with (LP simplex, binary-search probes, session cache
-  lookups, admission windows, sweep tasks).  Near-zero overhead when no
-  tracer is installed; never perturbs results.
+  lookups, admission windows, sweep tasks).  An open span's counters sit
+  on the one accumulator stack of :mod:`repro.lp.stats`, beside the
+  ``collect_stats`` scopes, so spans and scopes see the same deltas.
+  Near-zero overhead when no tracer is installed; never perturbs results.
 * :mod:`repro.obs.export` — the streaming JSONL span sink and the Chrome
   ``trace_event`` exporter (``chrome://tracing`` / Perfetto), plus the
   structural validator CI runs on emitted traces.

@@ -80,12 +80,7 @@ def _span_args(span: Span) -> Dict[str, Any]:
         for k, v in span.attrs.items()
     }
     for name, value in span.stats.to_json().items():
-        if name == "kernels":
-            if value:
-                args["kernels"] = ", ".join(
-                    f"{k}×{n}" for k, n in sorted(value.items())
-                )
-        elif value:
+        if value:
             args[name] = value
     return args
 

@@ -13,8 +13,8 @@ involved.
 
 Cost discipline: when no :class:`Tracer` is installed, :func:`span` checks
 one module-level list and yields ``None`` — no :class:`Span` is allocated,
-no clock is read, no stats sink is registered.  The hot paths stay
-instrumented permanently and pay for it only when someone is listening.
+no clock is read, nothing is pushed.  The hot paths stay instrumented
+permanently and pay for it only when someone is listening.
 Observability must never perturb results, and cannot: spans carry
 timestamps and counter copies *out* of the computation and feed nothing
 back in (the byte-identity property tests in ``tests/test_obs.py`` pin
@@ -26,11 +26,11 @@ across a sweep's worker pool to within wall-clock sync — good enough for
 one merged Chrome trace, while in-process durations keep the monotonic
 clock's quality.
 
-Counter attachment: while at least one tracer is installed, a
-:mod:`repro.lp.stats` sink routes every :func:`~repro.lp.stats.record` call
-into all currently-open spans.  A parent span therefore aggregates its
-children's counters, mirroring the nesting semantics of
-:func:`~repro.lp.stats.collect_stats` scopes.
+Counter attachment: an open span's ``stats`` sits on the same accumulator
+stack as the :func:`~repro.lp.stats.collect_stats` scopes, so every
+:func:`~repro.lp.stats.record` call reaches every open span and every open
+scope through one loop.  A parent span therefore aggregates its children's
+counters, exactly like nested scopes.
 """
 
 from __future__ import annotations
@@ -189,32 +189,31 @@ def current_span() -> Optional[Span]:
     return _stack[-1] if _stack else None
 
 
-def _on_record(stats: SolverStats) -> None:
-    """lp.stats sink: attach counter deltas to every open span."""
-    for span in _stack:
-        span.stats.add(stats)
+def _close_open_spans() -> None:
+    """Empty the open-span stack and take its accumulators off the
+    counter stack (the spans stay uncollected)."""
+    for sp in _stack:
+        lp_stats.close_scope(sp.stats)
+    _stack.clear()
 
 
 def install(tracer: Tracer) -> None:
-    """Install *tracer*; the first installation registers the stats sink."""
-    if not _tracers:
-        lp_stats.add_sink(_on_record)
+    """Install *tracer*."""
     _tracers.append(tracer)
 
 
 def uninstall(tracer: Tracer) -> None:
-    """Remove *tracer* (by identity); the last removal drops the sink."""
+    """Remove *tracer* (by identity); the last removal drops open spans."""
     for i in range(len(_tracers) - 1, -1, -1):
         if _tracers[i] is tracer:
             del _tracers[i]
             break
     if not _tracers:
-        lp_stats.remove_sink(_on_record)
-        _stack.clear()
+        _close_open_spans()
 
 
 def reset() -> None:
-    """Drop every installed tracer, open span, and the stats sink.
+    """Drop every installed tracer and open span.
 
     For process-pool worker entry points: a fork-started worker inherits
     the driver's installed tracer, so without a reset the worker's spans
@@ -222,8 +221,7 @@ def reset() -> None:
     collected by a worker-local tracer and shipped home.
     """
     del _tracers[:]
-    _stack.clear()
-    lp_stats.remove_sink(_on_record)
+    _close_open_spans()
 
 
 def adopt_spans(
@@ -260,9 +258,10 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
     """Open one traced span; yields the :class:`Span` (``None`` when
     tracing is off, so call sites guard attribute writes with ``if sp:``).
 
-    Teardown mirrors :func:`~repro.lp.stats.collect_stats`: the span is
-    removed from the open stack by identity, so stacks unwound out of
-    order under exceptions still close every span exactly once.
+    Teardown mirrors :func:`~repro.lp.stats.collect_stats`: the span and
+    its accumulator are removed from their stacks by identity, so stacks
+    unwound out of order under exceptions still close every span exactly
+    once.
     """
     if not _tracers:
         yield None
@@ -277,10 +276,12 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
         attrs=attrs,
     )
     _stack.append(sp)
+    lp_stats.open_scope(sp.stats)
     try:
         yield sp
     finally:
         sp.end_ns = _now_ns()
+        lp_stats.close_scope(sp.stats)
         for i in range(len(_stack) - 1, -1, -1):
             if _stack[i] is sp:
                 del _stack[i]
@@ -291,14 +292,16 @@ def span(name: str, **attrs: Any) -> Iterator[Optional[Span]]:
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Temporarily disable tracing (and its stats sink) inside the scope.
+    """Temporarily disable tracing inside the scope.
 
     The escape hatch for timing experiments: E14 measures cold-solve
     wall-clock, and even cheap span bookkeeping inside the timed region
     would show up in its ``seconds`` column — so it wraps the timed calls
     in ``suspended()`` and stays trace-off by design (documented in
     EXPERIMENTS.md).  Open spans are left open; they simply receive no
-    children and no counter deltas while suspended.
+    children and no counter deltas while suspended.  Their accumulators
+    are taken off the counter stack and restored afterwards, so enclosing
+    ``collect_stats`` scopes keep counting throughout.
     """
     if not _tracers:
         yield
@@ -306,12 +309,11 @@ def suspended() -> Iterator[None]:
     saved_tracers = _tracers[:]
     saved_stack = _stack[:]
     del _tracers[:]
-    _stack.clear()
-    lp_stats.remove_sink(_on_record)
+    _close_open_spans()
     try:
         yield
     finally:
         _tracers.extend(saved_tracers)
         _stack.extend(saved_stack)
-        if _tracers:
-            lp_stats.add_sink(_on_record)
+        for sp in saved_stack:
+            lp_stats.open_scope(sp.stats)

@@ -162,7 +162,7 @@ class TestSolveLP:
         lp = LinearProgram()
         lp.add_variable("x", ub=2)
         lp.set_objective({"x": -1})
-        for backend in ("exact", "scipy", "auto"):
+        for backend in ("exact", "scipy"):
             solution = solve_lp(lp, backend=backend)
             assert solution.value("x") == 2
 

@@ -6,12 +6,13 @@ The load-bearing properties:
 * :func:`repro.obs.span` is free when no tracer is installed (yields
   ``None``, allocates nothing) and builds a correctly parented tree when
   one is;
-* counter deltas recorded while a span is open attach to it (and to its
-  ancestors), mirroring nested ``collect_stats`` scopes;
-* ``SolverStats.to_json``/``from_json`` and ``Span`` round-trip exactly,
-  kernels dict included — the sweep worker→driver wire format;
-* the lp.stats sink machinery survives re-entrant ``record`` calls from a
-  sink and out-of-order scope unwinds under exceptions;
+* an open span's counters sit on the same accumulator stack as the
+  ``collect_stats`` scopes, so a delta recorded while a span is open
+  reaches it, its ancestors and every enclosing scope alike — one stream;
+* ``SolverStats.to_json``/``from_json`` and ``Span`` round-trip exactly —
+  the sweep worker→driver wire format;
+* the accumulator stack survives out-of-order scope unwinds under
+  exceptions, ``suspended()``, and tracer uninstall/reset;
 * **byte-identity**: traced runs produce bit-identical results, payload
   files, and counter totals to untraced runs — observability feeds
   nothing back into the computation;
@@ -23,6 +24,7 @@ The load-bearing properties:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import sqlite3
@@ -41,10 +43,12 @@ from repro.obs import (
     adopt_spans,
     chrome_trace,
     current_span,
+    install,
     span,
     suspended,
     tracing,
     tracing_enabled,
+    uninstall,
     validate_chrome_trace,
     write_chrome_trace,
     write_spans_jsonl,
@@ -56,7 +60,7 @@ from repro.workloads import example_ii1, random_hierarchical, rng_from_seed
 
 @pytest.fixture(autouse=True)
 def _clean_obs_state():
-    """Every test starts and ends with no tracer, no spans, no sinks."""
+    """Every test starts and ends with no tracer, no spans, no scopes."""
     obs_reset()
     yield
     obs_reset()
@@ -88,13 +92,12 @@ class TestSpanBasics:
         with tracing() as tracer:
             with span("outer"):
                 with span("inner"):
-                    record(SolverStats(solves=1, pivots=7, kernels={"revised": 1}))
+                    record(SolverStats(solves=1, pivots=7))
                 record(SolverStats(pivots=2))
         inner, outer = tracer.spans
         assert (inner.stats.solves, inner.stats.pivots) == (1, 7)
         # The parent aggregates its child's delta plus its own.
         assert (outer.stats.solves, outer.stats.pivots) == (1, 9)
-        assert outer.stats.kernels == {"revised": 1}
 
     def test_span_exception_teardown_closes_and_collects(self):
         with tracing() as tracer:
@@ -117,12 +120,44 @@ class TestSpanBasics:
         assert [sp.name for sp in tracer.spans] == ["kept"]
         assert tracer.spans[0].stats.pivots == 0
 
+    def test_suspended_keeps_enclosing_scope_counting(self):
+        with collect_stats() as scope:
+            with tracing() as tracer:
+                with span("outer"):
+                    record(SolverStats(pivots=1))
+                    with suspended():
+                        assert [id(a) for a in lp_stats._scopes] == [id(scope)]
+                        record(SolverStats(pivots=100))
+                    # The span's accumulator is back on the stack.
+                    record(SolverStats(pivots=10))
+        assert scope.pivots == 111
+        assert tracer.spans[0].stats.pivots == 11
+        assert lp_stats._scopes == []
+
     def test_uninstall_clears_stack_and_sink(self):
         with tracing():
             with span("left-open"):
                 pass
         assert current_span() is None
-        assert not lp_stats._sinks
+        assert not lp_stats._scopes
+
+    @pytest.mark.parametrize("teardown", ["uninstall", "reset"])
+    def test_teardown_with_open_span_leaves_no_accumulator(self, teardown):
+        tracer = Tracer()
+        install(tracer)
+        cm = span("left-open")
+        sp = cm.__enter__()
+        assert lp_stats._scopes == [sp.stats]
+        if teardown == "uninstall":
+            uninstall(tracer)
+        else:
+            obs_reset()
+        assert current_span() is None
+        assert lp_stats._scopes == []
+        record(SolverStats(pivots=5))
+        assert sp.stats.pivots == 0
+        cm.__exit__(None, None, None)  # late close is a harmless no-op
+        assert lp_stats._scopes == []
 
 
 class TestRoundTrips:
@@ -131,13 +166,13 @@ class TestRoundTrips:
             solves=3, pivots=41, phase1_pivots=11, refactorizations=2,
             warm_start_attempts=3, warm_start_hits=2, point_reuses=1,
             farkas_reuses=4, cache_hits=5, cache_misses=6,
-            kernels={"revised": 2, "float": 1},
         )
         payload = stats.to_json()
-        assert payload["kernels"] == {"revised": 2, "float": 1}
-        # The copy is deep enough: mutating the payload leaves stats alone.
-        payload["kernels"]["revised"] = 99
-        assert stats.kernels["revised"] == 2
+        # One key per dataclass field, nothing else.
+        assert list(payload) == [f.name for f in dataclasses.fields(stats)]
+        # The payload is a copy: mutating it leaves stats alone.
+        payload["solves"] = 99
+        assert stats.solves == 3
         rebuilt = SolverStats.from_json(stats.to_json())
         assert rebuilt == stats
         # JSON wire trip (what actually crosses the process boundary).
@@ -146,14 +181,16 @@ class TestRoundTrips:
     def test_solver_stats_from_json_tolerates_missing_and_unknown(self):
         rebuilt = SolverStats.from_json({"solves": 2, "not_a_counter": 9})
         assert rebuilt.solves == 2 and rebuilt.pivots == 0
-        assert rebuilt.kernels == {}
+        # An older artifact's per-kernel dict is an unknown key, too.
+        older = SolverStats.from_json({"solves": 2, "kernels": {"revised": 2}})
+        assert older == SolverStats(solves=2)
 
     def test_span_json_round_trip(self):
         sp = Span(
             name="lp.solve", span_id=7, parent_id=3,
             start_ns=1_000, end_ns=5_000,
             attrs={"kernel": "revised", "T": str(Fraction(7, 2))},
-            stats=SolverStats(solves=1, kernels={"revised": 1}),
+            stats=SolverStats(solves=1),
             pid=1234,
         )
         rebuilt = Span.from_json(json.loads(json.dumps(sp.to_json())))
@@ -187,37 +224,7 @@ class TestRoundTrips:
 
 
 class TestSinkHardening:
-    def test_reentrant_record_from_sink_updates_scopes_not_sinks(self):
-        calls = []
-
-        def sink(stats):
-            calls.append(stats.pivots)
-            # A sink that records (e.g. tracing code paths that themselves
-            # count) must not recurse into the sink fan-out.
-            record(SolverStats(cache_hits=1))
-
-        lp_stats.add_sink(sink)
-        try:
-            with collect_stats() as scope:
-                record(SolverStats(pivots=5))
-            assert calls == [5]
-            # The re-entrant record still reached the scope.
-            assert scope.pivots == 5 and scope.cache_hits == 1
-        finally:
-            lp_stats.remove_sink(sink)
-
-    def test_sink_opening_and_closing_scopes_mid_record_is_safe(self):
-        def sink(stats):
-            with collect_stats():
-                pass
-
-        lp_stats.add_sink(sink)
-        try:
-            with collect_stats() as scope:
-                record(SolverStats(solves=1))
-            assert scope.solves == 1
-        finally:
-            lp_stats.remove_sink(sink)
+    """Teardown hardening of the accumulator stack."""
 
     def test_nested_scopes_unwound_out_of_order_under_exceptions(self):
         """Regression: generator-held scopes torn down in the 'wrong' order
@@ -244,20 +251,42 @@ class TestSinkHardening:
         record(SolverStats(pivots=1))
         assert outer.pivots == 3
 
-    def test_remove_sink_is_identity_based_and_tolerates_absent(self):
-        def sink_a(stats):
-            pass
 
-        def sink_b(stats):
-            pass
+class TestSingleStream:
+    """Spans and scopes are accumulators on one stack: the same deltas
+    reach both, field by field."""
 
-        lp_stats.add_sink(sink_a)
-        lp_stats.add_sink(sink_b)
-        lp_stats.remove_sink(sink_a)
-        assert lp_stats._sinks == [sink_b]
-        lp_stats.remove_sink(sink_a)  # absent: no-op
-        lp_stats.remove_sink(sink_b)
-        assert not lp_stats._sinks
+    def test_traced_model1_root_span_equals_enclosing_scope(self):
+        from repro.core.instance import Instance
+        from repro.core.memory import minimal_model1_T, solve_model1
+
+        inst = Instance.semi_partitioned(
+            p_local=[[2, 2], [2, 2], [2, 2], [2, 2]],
+            p_global=[3, 3, 3, 3],
+        )
+        space, budgets = [[1, 1]] * 4, {0: 2, 1: 2}
+        with collect_stats() as scope:
+            with tracing() as tracer:
+                with span("root") as root:
+                    T = minimal_model1_T(inst, space, budgets)
+                    solve_model1(inst, space, budgets, T)
+        assert scope.solves > 0 and scope.pivots > 0
+        assert root.stats.to_json() == scope.to_json()
+        assert any(sp.name == "lp.solve" for sp in tracer.spans)
+
+    def test_cached_session_counts_reach_span_and_scope(self, tmp_path):
+        from repro.session import Session
+
+        inst = example_ii1()
+        with collect_stats() as scope:
+            with tracing():
+                with span("root") as root:
+                    with Session(cache=str(tmp_path / "cache")) as session:
+                        session.minimal_fractional_T(inst)
+                        session.minimal_fractional_T(inst)  # cache hit
+        assert (scope.cache_hits, scope.cache_misses) == (1, 1)
+        assert root.stats.to_json() == scope.to_json()
+        assert session.stats.to_json() == scope.to_json()
 
 
 class TestByteIdentity:
@@ -272,7 +301,7 @@ class TestByteIdentity:
             with collect_stats() as traced:
                 t_traced = minimal_fractional_T(inst)
         assert t_traced == t_cold
-        assert traced == cold  # identical counter totals, kernels included
+        assert traced == cold  # identical counter totals
         assert any(sp.name == "lp.solve" for sp in tracer.spans)
         root = [sp for sp in tracer.spans
                 if sp.name == "search.minimal_fractional_T"]
@@ -339,8 +368,7 @@ class TestExport:
         with tracing() as tracer:
             with span("session.solve", backend="hybrid"):
                 with span("lp.solve", kernel="revised"):
-                    record(SolverStats(solves=1, pivots=3,
-                                       kernels={"revised": 1}))
+                    record(SolverStats(solves=1, pivots=3))
         return tracer.spans
 
     def test_chrome_trace_structure(self):
@@ -357,7 +385,7 @@ class TestExport:
         lp = by_name["lp.solve"]
         assert lp["args"]["kernel"] == "revised"
         assert lp["args"]["pivots"] == 3
-        assert lp["args"]["kernels"] == "revised×1"
+        assert lp["args"]["solves"] == 1
         assert all(e["ts"] >= 0 and e["dur"] >= 0 for e in xs)
         # The child lies within the parent on the same track.
         parent = by_name["session.solve"]

@@ -192,16 +192,46 @@ class TestBusyWindows:
             )
 
 
+#: The third outcome of a witness search: it hit its node limit.
+GAVE_UP = "gave up"
+
+
+def _witness_outcome(inst, **kwargs):
+    """A witness, ``None`` (proved absent), or :data:`GAVE_UP`."""
+    try:
+        return witness_within(inst, T_REF, **kwargs)
+    except SolverError:
+        return GAVE_UP
+
+
+def _assert_prefilter_identity(inst, **kwargs):
+    with_pf = _witness_outcome(inst, prefilter=True, **kwargs)
+    without = _witness_outcome(inst, prefilter=False, **kwargs)
+    if with_pf is None and without == GAVE_UP:
+        # The pre-filter answered without searching; that is sound only
+        # on an analytic refutation (a finished search finds no witness).
+        verdict = analytic_schedulable(inst, "hierarchical", T_REF)
+        assert verdict.status == UNSCHEDULABLE
+    else:
+        assert with_pf == without
+
+
 class TestPrefilter:
     @_SETTINGS
     @given(st.integers(0, 10**6), st.sampled_from([0.6, 0.95, 1.05]))
     def test_prefilter_identity(self, seed, u):
         """The acceptance criterion: the pre-filter never changes which
         instances get a witness, nor which witness they get."""
-        inst = _workload(seed, u).with_singletons()
-        with_pf = witness_within(inst, T_REF, prefilter=True)
-        without = witness_within(inst, T_REF, prefilter=False)
-        assert with_pf == without
+        _assert_prefilter_identity(_workload(seed, u).with_singletons())
+
+    def test_prefilter_identity_when_both_searches_give_up(self):
+        """Regression: at ``seed=293, u=0.95`` the analytic verdict is
+        UNKNOWN and both searches exhaust their node limit; giving up on
+        both sides is the same outcome, not an error."""
+        inst = _workload(293, 0.95).with_singletons()
+        assert analytic_schedulable(inst, "hierarchical", T_REF).status == UNKNOWN
+        assert _witness_outcome(inst, node_limit=10_000) == GAVE_UP
+        _assert_prefilter_identity(inst, node_limit=10_000)
 
     @_SETTINGS
     @given(st.integers(0, 10**6), st.sampled_from([0.6, 0.95]))

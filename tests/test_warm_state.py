@@ -293,7 +293,7 @@ def test_carried_basis_solve_equals_cold_solve(data):
     assert warm.x == cold.x  # identical vertex, not just identical value
 
 
-class TestSteepestEdgePricing:
+class TestLexCanonicalAcrossPricing:
     def test_lex_canonical_erases_pricing_choice(self):
         rows, senses, rhs, objective = _small_lp()
         vertices = {
