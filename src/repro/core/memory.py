@@ -23,13 +23,20 @@ Both solvers return the rounded assignment, the realized schedule (built at
 the *actual* minimal horizon of the assignment, never worse than σ·T), and
 the measured memory violations, so experiments E10/E11 can compare against
 the theorems' guarantees.
+
+Rows (7) and (9) do not depend on ``T``, so each model's minimal LP horizon
+comes from the (IP-3) breakpoint search itself:
+:func:`minimal_model1_T`/:func:`minimal_model2_T` hand the model's pairs
+and memory rows to an :class:`~repro.core.programs.IP3Builder` and search
+through it.  One memory-row builder per model feeds both that search and
+the fixed-``T`` rows the rounding starts from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError, SolverError
@@ -39,7 +46,7 @@ from .assignment import Assignment, min_T_for_assignment
 from .hierarchical import schedule_hierarchical
 from .instance import Instance
 from .laminar import MachineSet
-from .programs import admissible_pairs
+from .programs import IP3Builder, _search_minimal_T
 
 Time = Union[int, Fraction]
 
@@ -47,6 +54,67 @@ Time = Union[int, Fraction]
 def harmonic(k: int) -> Fraction:
     """The k-th harmonic number ``H_k = 1 + 1/2 + … + 1/k``."""
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
+
+
+Groups = Dict[int, List[Tuple[MachineSet, int]]]
+
+
+def _groups(
+    instance: Instance,
+    T: Optional[Fraction],
+    keep: Optional[Callable[[int, MachineSet], bool]] = None,
+) -> Groups:
+    """Each job's pairs ``(α, j)`` with ``p_{αj} ≤ T`` that *keep* accepts.
+
+    ``T=None`` admits every finite pair (the static pairs a search starts
+    from).  Raises :class:`InfeasibleError` when a job is left with none.
+    """
+    groups: Groups = {}
+    for j in range(instance.n):
+        keys = []
+        for alpha in instance.family.sets:
+            p = instance.p(j, alpha)
+            if is_inf(p) or (T is not None and to_fraction(p) > T):
+                continue
+            if keep is None or keep(j, alpha):
+                keys.append((alpha, j))
+        if not keys:
+            raise InfeasibleError(
+                f"job {j} has no admissible set"
+                + (f" within T={T}" if T is not None else "")
+                + (" under the budgets" if keep is not None else "")
+            )
+        groups[j] = keys
+    return groups
+
+
+def _load_rows(instance: Instance, groups: Groups, T: Fraction) -> List[PackingRow]:
+    """The load rows of (IP-3) at horizon *T* over the pairs in *groups*."""
+    key_sets = {j: set(keys) for j, keys in groups.items()}
+    rows: List[PackingRow] = []
+    for alpha in instance.family.sets:
+        coeffs: Dict = {}
+        for beta in instance.family.subsets_of(alpha):
+            for j in range(instance.n):
+                key = (beta, j)
+                if key in key_sets[j]:
+                    coeffs[key] = to_fraction(instance.p(j, beta))
+        rows.append(PackingRow(f"load[{sorted(alpha)}]", coeffs, len(alpha) * T))
+    return rows
+
+
+def _minimal_memory_horizon(
+    instance: Instance, groups: Groups, rows: Sequence[PackingRow], backend: str
+) -> Fraction:
+    """The (IP-3) breakpoint search over *groups* plus the fixed *rows*."""
+    builder = IP3Builder(
+        instance,
+        pairs={key for keys in groups.values() for key in keys},
+        fixed_rows=[(row.coeffs, row.bound) for row in rows],
+    )
+    if not builder.breakpoints:
+        raise InfeasibleError("no finite processing times")
+    return _search_minimal_T(builder, backend)
 
 
 # ---------------------------------------------------------------------------
@@ -83,54 +151,54 @@ class Model1Result:
         return max(ratios) if ratios else Fraction(0)
 
 
-def _model1_rows(
+def _fits_budgets(
+    space: Sequence[Sequence[Time]], budgets: Mapping[int, Time]
+) -> Callable[[int, MachineSet], bool]:
+    """Model 1's static pair filter: ``s_ij ≤ B_i`` on every ``i ∈ α``.
+
+    A pair whose footprint alone exceeds some budget could never be 1 in a
+    solution within the budgets; pruning it keeps every coefficient ≤ its
+    row bound, the property behind the "3×".
+    """
+    return lambda j, alpha: all(
+        to_fraction(space[j][i]) <= to_fraction(budgets[i]) for i in alpha
+    )
+
+
+def _model1_memory_rows(
     instance: Instance,
     space: Sequence[Sequence[Time]],
     budgets: Mapping[int, Time],
-    T: Fraction,
-) -> Tuple[Dict[int, List], List[PackingRow]]:
-    """Groups and packing rows of (IP-3)+(7) at horizon *T*.
-
-    Pairs whose memory footprint alone would exceed some budget are pruned
-    (they could never be 1 in a solution within the budgets) — this keeps
-    every coefficient ≤ its row bound, the property behind the "3×".
-    """
-    pairs = admissible_pairs(instance, T)
-    groups: Dict[int, List] = {j: [] for j in range(instance.n)}
-    for alpha, j in pairs:
-        if any(to_fraction(space[j][i]) > to_fraction(budgets[i]) for i in alpha):
-            continue
-        groups[j].append((alpha, j))
-    for j, keys in groups.items():
-        if not keys:
-            raise InfeasibleError(
-                f"job {j} has no admissible set within T={T} and the budgets"
-            )
-    key_sets = {j: set(keys) for j, keys in groups.items()}
+    groups: Groups,
+) -> List[PackingRow]:
+    """Rows (7) over the pairs in *groups*; they do not depend on ``T``."""
     rows: List[PackingRow] = []
-    for alpha in instance.family.sets:
-        coeffs: Dict = {}
-        for beta in instance.family.subsets_of(alpha):
-            for j in range(instance.n):
-                key = (beta, j)
-                if key in key_sets[j]:
-                    coeffs[key] = to_fraction(instance.p(j, beta))
-        rows.append(PackingRow(f"load[{sorted(alpha)}]", coeffs, len(alpha) * T))
     for i in sorted(instance.machines):
-        coeffs = {}
-        for j in range(instance.n):
+        coeffs: Dict = {}
+        for j, keys in groups.items():
             s = to_fraction(space[j][i])
             if s == 0:
                 continue
-            for key in groups[j]:
-                alpha, _j = key
-                if i in alpha:
+            for key in keys:
+                if i in key[0]:
                     coeffs[key] = s
         bound = to_fraction(budgets[i])
         if bound <= 0:
             raise InvalidInstanceError(f"budget of machine {i} must be positive")
         rows.append(PackingRow(f"mem[{i}]", coeffs, bound))
-    return groups, rows
+    return rows
+
+
+def _model1_rows(
+    instance: Instance,
+    space: Sequence[Sequence[Time]],
+    budgets: Mapping[int, Time],
+    T: Fraction,
+) -> Tuple[Groups, List[PackingRow]]:
+    """Groups and packing rows of (IP-3)+(7) at horizon *T*."""
+    groups = _groups(instance, T, _fits_budgets(space, budgets))
+    rows = _load_rows(instance, groups, T)
+    return groups, rows + _model1_memory_rows(instance, space, budgets, groups)
 
 
 def _check_kernel(kernel: Optional[str]) -> None:
@@ -184,7 +252,9 @@ def solve_model1(
 
 
 def _memory_lp(groups: Mapping[int, List], rows: Sequence[PackingRow]):
-    """The feasibility LP shared by both memory models (groups + packing rows)."""
+    """One horizon's feasibility LP of either memory model, as a keyed
+    :class:`~repro.lp.model.LinearProgram` built independently of
+    :class:`~repro.core.programs.IP3Builder`."""
     from ..lp.model import LinearProgram
 
     lp = LinearProgram()
@@ -218,136 +288,20 @@ def model1_lp_feasible(
     return is_feasible(_memory_lp(groups, rows), backend=backend)
 
 
-def _min_T_with_rows(
-    instance: Instance,
-    groups: Mapping[int, List],
-    rows: Sequence[PackingRow],
-    anchor: Fraction,
-    backend: str,
-) -> Optional[Fraction]:
-    """Minimize T over the given rows with ``R`` frozen at *anchor*.
-
-    Load rows (named ``load[...]``) scale with T (bound = |α|·T·(b/anchor
-    proportion)); memory rows are T-independent.  Returns None if infeasible.
-    """
-    from ..lp.model import LinearProgram
-    from ..lp.solve import solve_lp
-
-    t_key = ("__T__",)
-    lp = LinearProgram()
-    lp.add_variable(t_key, lb=0)
-    for j, keys in groups.items():
-        for key in keys:
-            lp.add_variable(key, lb=0)  # ub implied by the group equality
-        lp.add_constraint({key: 1 for key in keys}, "==", 1)
-    for row in rows:
-        if row.name.startswith("load["):
-            # bound was |α|·anchor; with T variable it becomes |α|·T.
-            per_T = row.bound / anchor
-            coeffs = dict(row.coeffs)
-            coeffs[t_key] = -per_T
-            lp.add_constraint(coeffs, "<=", 0, name=row.name)
-        else:
-            lp.add_constraint(row.coeffs, "<=", row.bound, name=row.name)
-    lp.add_constraint({t_key: 1}, ">=", anchor)
-    lp.set_objective({t_key: 1})
-    solution = solve_lp(lp, backend=backend)
-    if not solution.is_optimal:
-        return None
-    return to_fraction(solution.value(t_key))
-
-
-def _minimal_memory_T(
-    instance: Instance,
-    rows_at,
-    backend: str,
-) -> Fraction:
-    """Shared breakpoint search for the two memory models.
-
-    *rows_at(T)* returns ``(groups, rows)`` — the probe LP *and* the min-T
-    refinement both build from it.  Mirroring the incremental pipeline of
-    :func:`repro.core.programs.minimal_fractional_T`, the previous feasible
-    probe's **basis** (a keyed :class:`~repro.lp.warm.WarmState`) is carried
-    into the next probe — variable keys are stable across horizons, so when
-    the admissible set is unchanged the solver refactorizes the carried
-    basic columns and skips phase 1 outright; when it changed, the state
-    degrades to its vertex as warm values and from there to a cold start.
-    """
-    from ..lp.solve import feasible_point
-
-    warm: Dict = {}
-    carried: List = [None]  # the last solve's WarmState (closure cell)
-
-    def feasible_at(T: Fraction) -> bool:
-        try:
-            groups, rows = rows_at(T)
-        except InfeasibleError:
-            return False
-        point, state = feasible_point(
-            _memory_lp(groups, rows), backend=backend, warm_values=warm or None,
-            warm_state=carried[0], want_state=True,
-        )
-        if state is not None:
-            carried[0] = state
-        if point is not None:
-            warm.clear()
-            warm.update({k: v for k, v in point.items() if v})
-            return True
-        return False
-
-    values = sorted(
-        {
-            to_fraction(instance.p(j, alpha))
-            for j in range(instance.n)
-            for alpha in instance.family.sets
-            if not is_inf(instance.p(j, alpha))
-        }
-    )
-    if not values:
-        raise InfeasibleError("no finite processing times")
-    lo, hi = 0, len(values) - 1
-    if not feasible_at(values[hi]):
-        # Optimum above every breakpoint: R maximal, one min-T LP.
-        try:
-            groups, rows = rows_at(values[hi])
-        except InfeasibleError:
-            raise InfeasibleError("memory LP infeasible at every horizon")
-        t_above = _min_T_with_rows(instance, groups, rows, values[hi], backend)
-        if t_above is None:
-            raise InfeasibleError("memory LP infeasible at every horizon")
-        return t_above
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible_at(values[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    anchor = values[lo]
-    if lo > 0:
-        try:
-            groups, rows = rows_at(values[lo - 1])
-            t_prev = _min_T_with_rows(
-                instance, groups, rows, values[lo - 1], backend
-            )
-        except InfeasibleError:
-            t_prev = None
-        if t_prev is not None and t_prev < anchor:
-            return t_prev
-    return anchor
-
-
 def minimal_model1_T(
     instance: Instance,
     space: Sequence[Sequence[Time]],
     budgets: Mapping[int, Time],
     backend: str = "hybrid",
 ) -> Fraction:
-    """Smallest horizon at which (IP-3)+(7)'s LP relaxation is feasible."""
-    return _minimal_memory_T(
-        instance,
-        rows_at=lambda T: _model1_rows(instance, space, budgets, to_fraction(T)),
-        backend=backend,
-    )
+    """Smallest horizon at which (IP-3)+(7)'s LP relaxation is feasible.
+
+    Raises :class:`InfeasibleError` when no horizon is, including when a
+    job's every pair is pruned by a budget.
+    """
+    groups = _groups(instance, None, _fits_budgets(space, budgets))
+    rows = _model1_memory_rows(instance, space, budgets, groups)
+    return _minimal_memory_horizon(instance, groups, rows, backend)
 
 
 def solve_model1_exact(
@@ -454,14 +408,9 @@ def model2_rho(instance: Instance) -> Fraction:
     return 1 + harmonic(k)
 
 
-def _model2_rows(
-    instance: Instance,
-    sizes: Sequence[Time],
-    mu: Time,
-    T: Fraction,
-) -> Tuple[Dict[int, List], List[PackingRow], Dict[MachineSet, Fraction]]:
-    family = instance.family
-    if not family.is_tree:
+def _check_model2(instance: Instance, sizes: Sequence[Time], mu: Time) -> Fraction:
+    """Validate Model 2's inputs; returns ``µ`` as a Fraction."""
+    if not instance.family.is_tree:
         raise InvalidInstanceError("Model 2 requires a tree-shaped family")
     mu = to_fraction(mu)
     if mu <= 1:
@@ -470,33 +419,27 @@ def _model2_rows(
         s = to_fraction(sizes[j])
         if not 0 <= s <= 1:
             raise InvalidInstanceError(f"job size s_{j}={s} outside [0, 1]")
+    return mu
 
-    pairs = admissible_pairs(instance, T)
-    groups: Dict[int, List] = {j: [] for j in range(instance.n)}
-    for alpha, j in pairs:
-        groups[j].append((alpha, j))
-    for j, keys in groups.items():
-        if not keys:
-            raise InfeasibleError(f"job {j} has no admissible set within T={T}")
+
+def _model2_memory_rows(
+    instance: Instance, sizes: Sequence[Time], mu: Fraction, groups: Groups
+) -> Tuple[List[PackingRow], Dict[MachineSet, Fraction]]:
+    """Rows (9) over the pairs in *groups*, and the capacities ``µ^h``.
+
+    The rows do not depend on ``T``; the root has unbounded capacity.
+    """
+    family = instance.family
     key_sets = {j: set(keys) for j, keys in groups.items()}
-
     rows: List[PackingRow] = []
-    for alpha in family.sets:
-        coeffs: Dict = {}
-        for beta in family.subsets_of(alpha):
-            for j in range(instance.n):
-                key = (beta, j)
-                if key in key_sets[j]:
-                    coeffs[key] = to_fraction(instance.p(j, beta))
-        rows.append(PackingRow(f"load[{sorted(alpha)}]", coeffs, len(alpha) * T))
     capacities: Dict[MachineSet, Fraction] = {}
     root = frozenset(instance.machines)
     for alpha in family.sets:
         if alpha == root:
-            continue  # the root has unbounded capacity
+            continue
         cap = mu ** family.height(alpha)
         capacities[alpha] = cap
-        coeffs = {}
+        coeffs: Dict = {}
         for j in range(instance.n):
             key = (alpha, j)
             if key in key_sets[j]:
@@ -504,7 +447,20 @@ def _model2_rows(
                 if s > 0:
                     coeffs[key] = s
         rows.append(PackingRow(f"mem[{sorted(alpha)}]", coeffs, cap))
-    return groups, rows, capacities
+    return rows, capacities
+
+
+def _model2_rows(
+    instance: Instance,
+    sizes: Sequence[Time],
+    mu: Time,
+    T: Fraction,
+) -> Tuple[Groups, List[PackingRow], Dict[MachineSet, Fraction]]:
+    """Groups, packing rows of (IP-4) at horizon *T*, and the capacities."""
+    mu = _check_model2(instance, sizes, mu)
+    groups = _groups(instance, T)
+    rows, capacities = _model2_memory_rows(instance, sizes, mu, groups)
+    return groups, _load_rows(instance, groups, T) + rows, capacities
 
 
 def solve_model2(
@@ -580,8 +536,7 @@ def minimal_model2_T(
     backend: str = "hybrid",
 ) -> Fraction:
     """Smallest horizon at which (IP-4)'s LP relaxation is feasible."""
-    return _minimal_memory_T(
-        instance,
-        rows_at=lambda T: _model2_rows(instance, sizes, mu, to_fraction(T))[:2],
-        backend=backend,
-    )
+    mu = _check_model2(instance, sizes, mu)
+    groups = _groups(instance, None)
+    rows, _capacities = _model2_memory_rows(instance, sizes, mu, groups)
+    return _minimal_memory_horizon(instance, groups, rows, backend)

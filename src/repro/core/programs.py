@@ -34,16 +34,22 @@ is **incremental** end to end:
   a still-valid Farkas certificate answers a "no" probe the same way, and
   when a solve is unavoidable it is warm-started from the previous feasible
   point's factorized basis (:class:`_ProbeSession`);
-* the final min-T LPs are warm-started from the feasible point the
-  bracketing probe already produced — with a warm basis the min-T solve
-  needs no phase-1 work at all.
+* the search solves at most one min-T LP.  The probe at the anchor (the
+  smallest feasible breakpoint) already certified ``T = anchor`` feasible
+  under ``R(anchor)``, so only the bracket below it needs an LP, and that
+  LP is warm-started from the anchor's feasible point.
+
+The Section VI memory models are (IP-3) plus ``T``-independent packing
+rows, so they run the same search: :class:`IP3Builder` takes a static pair
+filter and those rows, and :mod:`repro.core.memory` calls
+:func:`_search_minimal_T` on such a builder.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
 from ..exceptions import InfeasibleError, InvalidInstanceError
@@ -83,9 +89,21 @@ class IP3Builder:
     pass instead of a fresh ``O(|F|²·n)`` scan.  Variable and row ordering
     match :func:`build_ip3` exactly (the vertex a solver returns depends on
     it).
+
+    Two optional inputs extend (IP-3) to the Section VI memory models:
+    *pairs*, a static pair filter (only finite ``(α, j)`` pairs in it get a
+    variable at any horizon), and *fixed_rows*, ``T``-independent ``≤``
+    rows given as ``(coeffs, bound)`` with *coeffs* keyed by ``(α, j)``
+    pairs the builder carries.  Every LP the builder emits appends the
+    fixed rows after the load rows, masked like them.
     """
 
-    def __init__(self, instance: Instance):
+    def __init__(
+        self,
+        instance: Instance,
+        pairs: Optional[AbstractSet[Tuple[MachineSet, int]]] = None,
+        fixed_rows: Sequence[Tuple[Mapping[Tuple[MachineSet, int], Time], Time]] = (),
+    ):
         self.instance = instance
         family = instance.family
         n = instance.n
@@ -95,23 +113,13 @@ class IP3Builder:
         for j in range(n):
             for alpha in family.sets:
                 p = instance.p(j, alpha)
-                if not is_inf(p):
+                if not is_inf(p) and (pairs is None or (alpha, j) in pairs):
                     self.finite.append((j, alpha, to_fraction(p)))
                     has_finite[j] = True
         self.jobs_without_options: List[int] = [
             j for j in range(n) if not has_finite[j]
         ]
         self.breakpoints: List[Fraction] = sorted({p for _j, _a, p in self.finite})
-        #: Per-set load-row template: (β, j, p_{βj}) over β ⊆ α, finite.
-        self.load_template: Dict[MachineSet, List[Tuple[MachineSet, int, Fraction]]] = {}
-        for alpha in family.sets:
-            entries: List[Tuple[MachineSet, int, Fraction]] = []
-            for beta in family.subsets_of(alpha):
-                for j in range(n):
-                    p = instance.p(j, beta)
-                    if not is_inf(p):
-                        entries.append((beta, j, to_fraction(p)))
-            self.load_template[alpha] = entries
 
         # Index-based row templates for probe masking: probes address
         # variables by their position in ``self.finite`` (stable across all
@@ -120,23 +128,33 @@ class IP3Builder:
         var_of_pair: Dict[Tuple[int, MachineSet], int] = {
             (j, alpha): gi for gi, (j, alpha, _p) in enumerate(self.finite)
         }
+        #: Processing time per global variable index.
+        self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
         #: Per-job assignment-row template: global variable indices.
         self.assign_template: List[List[int]] = [[] for _ in range(n)]
         for gi, (j, _alpha, _p) in enumerate(self.finite):
             self.assign_template[j].append(gi)
-        #: Per-set load-row template in index form: (global index, p).
-        self.load_template_idx: List[Tuple[MachineSet, List[Tuple[int, Fraction]]]] = [
+        #: Per-set load-row template: (global index, p_{βj}) over β ⊆ α.
+        self.load_template_idx: List[Tuple[MachineSet, List[Tuple[int, Fraction]]]] = []
+        for alpha in family.sets:
+            entries: List[Tuple[int, Fraction]] = []
+            for beta in family.subsets_of(alpha):
+                for j in range(n):
+                    gi = var_of_pair.get((j, beta))
+                    if gi is not None:
+                        entries.append((gi, self.var_p[gi]))
+            self.load_template_idx.append((alpha, entries))
+        #: The fixed rows in index form: ([(global index, coeff)], bound).
+        self.fixed_template_idx: List[Tuple[List[Tuple[int, Fraction]], Fraction]] = [
             (
-                alpha,
                 [
-                    (var_of_pair[(j, beta)], p)
-                    for beta, j, p in self.load_template[alpha]
+                    (var_of_pair[(j, alpha)], to_fraction(c))
+                    for (alpha, j), c in coeffs.items()
                 ],
+                to_fraction(bound),
             )
-            for alpha in family.sets
+            for coeffs, bound in fixed_rows
         ]
-        #: Processing time per global variable index.
-        self.var_p: List[Fraction] = [p for _j, _a, p in self.finite]
         #: Breakpoint rank per global variable index:
         #: ``breakpoints[var_rank[gi]] == var_p[gi]``, so ``p ≤ T`` is the
         #: integer test ``var_rank[gi] ≤ horizon_rank(T)``.
@@ -161,8 +179,8 @@ class IP3Builder:
         """HiGHS input of the probe whose ``probe_rows`` gave *active*, *rhs*.
 
         Sliced from one :class:`~repro.lp.scipy_backend.FloatTemplate` of
-        the assignment and load blocks over global columns, built on first
-        use; only the right-hand sides are converted per probe, the load
+        the assignment, load and fixed blocks over global columns, built on
+        first use; only the right-hand sides are converted per probe, the load
         bounds from the exact products ``|α|·T`` in *rhs*
         (``|α|·float(T)`` can differ in the last ulp).  Bit-identical to
         marshaling ``probe_rows(T)`` itself.
@@ -178,8 +196,12 @@ class IP3Builder:
                 {gi: p_float[gi] for gi, _p in entries}
                 for _alpha, entries in self.load_template_idx
             ]
+            rows += [
+                {gi: float(c) for gi, c in entries}
+                for entries, _bound in self.fixed_template_idx
+            ]
             senses = ["=="] * len(self.assign_template)
-            senses += ["<="] * len(self.load_template_idx)
+            senses += ["<="] * (len(rows) - len(senses))
             self._float_template = FloatTemplate(rows, senses, len(self.finite))
         return self._float_template.program(active, rhs)
 
@@ -190,11 +212,12 @@ class IP3Builder:
 
         Returns ``(coeff_rows, senses, rhs, active)`` where *active* maps
         local variable index → position in ``self.finite``.  Row order is
-        the ``decision_lp`` order (all assignment rows, then all load rows),
-        which is what keeps Farkas certificates transferable between
-        probes.  ``O(nnz)`` — a filter pass over cached index templates,
-        masking on the integer ``var_rank[gi] ≤ horizon_rank(T)`` rather
-        than on Fraction comparisons.
+        the :func:`build_ip3` order (all assignment rows, then all load
+        rows), followed by the fixed rows; one order at every horizon is
+        what keeps Farkas certificates transferable between probes.
+        ``O(nnz)`` — a filter pass over cached index templates, masking on
+        the integer ``var_rank[gi] ≤ horizon_rank(T)`` rather than on
+        Fraction comparisons.
         """
         k = self.horizon_rank(T)
         rank = self.var_rank
@@ -216,37 +239,11 @@ class IP3Builder:
             )
             senses.append("<=")
             rhs.append(len(alpha) * T)
+        for entries, bound in self.fixed_template_idx:
+            coeff_rows.append({local[gi]: c for gi, c in entries if rank[gi] <= k})
+            senses.append("<=")
+            rhs.append(bound)
         return coeff_rows, senses, rhs, active
-
-    def decision_lp(self, T: Fraction) -> LinearProgram:
-        """The LP relaxation of (IP-3) at horizon *T* (== :func:`build_ip3`)."""
-        lp = LinearProgram()
-        by_job: Dict[int, List[MachineSet]] = {}
-        # No explicit ub: x ≤ 1 is implied by the assignment equality rows
-        # (each variable has coefficient 1 in exactly one of them), and
-        # materializing the bound as a row would multiply the basis size.
-        for j, alpha, p in self.finite:
-            if p <= T:
-                lp.add_variable(("x", alpha, j), lb=0)
-                by_job.setdefault(j, []).append(alpha)
-        for j in range(self.instance.n):
-            if j not in by_job:
-                lp.add_constraint({}, "==", 1, name=f"assign[{j}]")
-            else:
-                lp.add_constraint(
-                    {("x", alpha, j): 1 for alpha in by_job[j]},
-                    "==",
-                    1,
-                    name=f"assign[{j}]",
-                )
-        for alpha in self.instance.family.sets:
-            coeffs = {
-                ("x", beta, j): p
-                for beta, j, p in self.load_template[alpha]
-                if p <= T
-            }
-            lp.add_constraint(coeffs, "<=", len(alpha) * T, name=f"load[{sorted(alpha)}]")
-        return lp
 
     def min_T_lp(self, r_anchor: Fraction, t_low: Fraction) -> Optional[LinearProgram]:
         """Min-T LP with ``R`` frozen at *r_anchor* and ``T ≥ t_low``.
@@ -263,7 +260,9 @@ class IP3Builder:
         lp.add_variable(T_KEY, lb=0)
         for gi, key in enumerate(keys):
             if rank[gi] <= k:
-                lp.add_variable(key, lb=0)  # ub implied, see above
+                # No explicit ub: x ≤ 1 is implied by the assignment rows,
+                # and a bound row would multiply the basis size.
+                lp.add_variable(key, lb=0)
         for j, gis in enumerate(self.assign_template):
             lp.add_constraint(
                 {keys[gi]: 1 for gi in gis if rank[gi] <= k},
@@ -275,6 +274,11 @@ class IP3Builder:
                 if rank[gi] <= k:
                     coeffs[keys[gi]] = p
             lp.add_constraint(coeffs, "<=", 0, name=f"load[{sorted(alpha)}]")
+        for i, (entries, bound) in enumerate(self.fixed_template_idx):
+            lp.add_constraint(
+                {keys[gi]: c for gi, c in entries if rank[gi] <= k},
+                "<=", bound, name=f"fixed[{i}]",
+            )
         lp.add_constraint({T_KEY: 1}, ">=", t_low, name="bracket-low")
         lp.set_objective({T_KEY: 1})
         return lp
@@ -408,37 +412,12 @@ class _ProbeSession:
                 probe_sp.attrs["outcome"] = "solved-infeasible"
             return None
 
-    def keyed_point(
-        self, gpoint: Optional[Dict[int, Fraction]]
-    ) -> Optional[Dict]:
+    def keyed_point(self, gpoint: Dict[int, Fraction]) -> Dict:
         """A global-index point as ``("x", α, j)``-keyed LP warm values."""
-        if gpoint is None:
-            return None
         finite = self.builder.finite
         return {
             ("x", finite[gi][1], finite[gi][0]): v for gi, v in gpoint.items()
         }
-
-    def keyed_state(self) -> Optional[WarmState]:
-        """The carried basis relabelled onto ``("x", α, j)`` variable keys.
-
-        This is the form :func:`repro.lp.solve.solve_lp` consumes (e.g. the
-        min-T re-solve).  Consumers whose standard form has different
-        dimensions — the min-T LP adds the ``T`` column and the bracket
-        row — reject the basis exactly and degrade to its carried vertex.
-        """
-        if self.state is None or self.state_active is None:
-            return None
-        finite = self.builder.finite
-        active = self.state_active
-
-        def mapper(li: object) -> Optional[Tuple]:
-            if isinstance(li, int) and 0 <= li < len(active):
-                j, alpha, _p = finite[active[li]]
-                return ("x", alpha, j)
-            return None  # pragma: no cover - labels are self-produced
-
-        return self.state.relabel(mapper)
 
 
 def build_ip3(
@@ -534,25 +513,21 @@ def lp_feasible(instance: Instance, T: Time, backend: str = "hybrid") -> bool:
 
 
 def _min_T_with_fixed_R(
-    instance: Instance,
+    builder: IP3Builder,
     r_anchor: Fraction,
     t_low: Fraction,
     backend: str,
-    builder: Optional[IP3Builder] = None,
     warm_values: Optional[Dict] = None,
-    warm_state: Optional[WarmState] = None,
 ) -> Optional[Fraction]:
     """Minimize T over the LP with ``R = R(r_anchor)`` and ``T ≥ t_low``.
 
     Returns the optimal T or ``None`` when infeasible.  Caller must ensure
     the returned value stays inside the bracket where ``R`` is constant.
-    *warm_values* (a feasible point of the decision LP at *r_anchor*) lets
-    the exact/hybrid backends start from a feasible basis; *warm_state* (a
-    keyed carried basis, see :meth:`_ProbeSession.keyed_state`) is offered
-    first and degrades to the point path when stale.  The optimum ``T`` is
-    vertex-invariant, so the vertex is not canonicalized.
+    *warm_values* (a feasible point of the decision LP at a neighbouring
+    horizon) lets the exact/hybrid backends start from a feasible basis.
+    The optimum ``T`` is vertex-invariant, so the vertex is not
+    canonicalized.
     """
-    builder = builder or IP3Builder(instance)
     with trace_span(
         "search.min_T", anchor=str(r_anchor), warm=warm_values is not None,
     ) as min_sp:
@@ -561,13 +536,8 @@ def _min_T_with_fixed_R(
             if min_sp:
                 min_sp.attrs["outcome"] = "trivially-infeasible"
             return None
-        warm = None
-        if warm_values:
-            warm = dict(warm_values)
-            warm.setdefault(T_KEY, max(t_low, r_anchor))
         solution = solve_lp(
-            lp, backend=backend, warm_values=warm,
-            warm_state=warm_state, canonical=False,
+            lp, backend=backend, warm_values=warm_values, canonical=False
         )
         if not solution.is_optimal:
             if min_sp:
@@ -578,15 +548,72 @@ def _min_T_with_fixed_R(
         return to_fraction(solution.value(T_KEY))
 
 
+def _search_minimal_T(builder: IP3Builder, backend: str) -> Fraction:
+    """The minimum horizon at which *builder*'s LP relaxation is feasible.
+
+    Binary search over ``builder.breakpoints`` (non-empty), then at most
+    one min-T LP.  The probes run through :class:`_ProbeSession`, so
+    consecutive probes reuse each other's feasible points and Farkas
+    certificates and only a handful of them pay for an actual LP solve.
+
+    The anchor — the smallest breakpoint whose probe is feasible — needs
+    no LP of its own: with ``R(anchor)`` and ``T ≥ anchor`` the optimum is
+    ``anchor`` itself, since its probe certified that horizon.  Only the
+    bracket below it, with ``R(prev)``, can hold a smaller ``T``.  Raises
+    :class:`InfeasibleError` when no horizon is feasible, which only
+    fixed rows can cause.
+    """
+    points = builder.breakpoints
+    with trace_span(
+        "search.minimal_fractional_T",
+        n=builder.instance.n, backend=backend, breakpoints=len(points),
+    ):
+        session = _ProbeSession(builder, backend)
+        lo_idx, hi_idx = 0, len(points) - 1
+        anchor_point = session.probe(points[hi_idx])
+        if anchor_point is None:
+            # The optimum lies above every processing time (the load bound
+            # dominates); R is maximal there, so one min-T LP settles it.
+            top = points[hi_idx]
+            t_above = _min_T_with_fixed_R(builder, top, top, backend)
+            if t_above is None:
+                raise InfeasibleError("LP relaxation infeasible at every horizon")
+            return t_above
+        # Find the smallest breakpoint index at which the LP becomes
+        # feasible; anchor_point stays the feasible point at points[hi_idx].
+        while lo_idx < hi_idx:
+            mid = (lo_idx + hi_idx) // 2
+            mid_point = session.probe(points[mid])
+            if mid_point is not None:
+                anchor_point = mid_point
+                hi_idx = mid
+            else:
+                lo_idx = mid + 1
+        anchor = points[lo_idx]
+        if lo_idx == 0:
+            return anchor
+        # Below `anchor`, R is strictly smaller: the previous bracket
+        # [prev, anchor) with R(prev) may still hold a smaller T.  The
+        # anchor's feasible point, restricted to R(prev)'s variables (absent
+        # keys are dropped and counted by the solver), with ``T = anchor``
+        # is the best available seed: often feasible for that LP, and its
+        # support still crashes most of the basis when it is not.
+        prev = points[lo_idx - 1]
+        prev_warm = session.keyed_point(anchor_point)
+        prev_warm[T_KEY] = anchor
+        t_prev = _min_T_with_fixed_R(
+            builder, prev, prev, backend, warm_values=prev_warm
+        )
+        if t_prev is not None and t_prev < anchor:
+            return t_prev
+        return anchor
+
+
 def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fraction:
     """The minimum horizon ``T*`` at which (IP-3)'s LP relaxation is feasible.
 
-    This is the paper's fractional lower bound: ``T* ≤ opt(I)``.  Exact
-    procedure: binary search over the breakpoints of ``R(T)``, then a min-T
-    LP inside the bracket where ``R`` is constant.  The probes run through
-    :class:`_ProbeSession`, so consecutive probes reuse each other's
-    feasible points and Farkas certificates and only a handful of them pay
-    for an actual LP solve.
+    This is the paper's fractional lower bound: ``T* ≤ opt(I)``, found by
+    :func:`_search_minimal_T`.
 
     Degenerate inputs resolve exactly instead of entering a vacuous search:
 
@@ -605,71 +632,7 @@ def minimal_fractional_T(instance: Instance, backend: str = "hybrid") -> Fractio
             f"job(s) {jobs} have no finite processing time on any admissible "
             f"set; no horizon T can make (IP-3) feasible"
         )
-    points = builder.breakpoints
-    if points[-1] == 0:
+    if builder.breakpoints[-1] == 0:
         # Every finite time is 0 and every job has one: T* = 0 exactly.
         return Fraction(0)
-
-    with trace_span(
-        "search.minimal_fractional_T",
-        n=instance.n, backend=backend, breakpoints=len(points),
-    ):
-        session = _ProbeSession(builder, backend)
-        lo_idx, hi_idx = 0, len(points) - 1
-        top_point = session.probe(points[hi_idx])
-        if top_point is None:
-            # The optimum lies above every processing time (the load bound
-            # dominates); R is maximal there, so one min-T LP settles it.
-            top = points[hi_idx]
-            t_above = _min_T_with_fixed_R(
-                instance, top, top, backend, builder=builder
-            )
-            if t_above is None:
-                raise InfeasibleError(
-                    "LP relaxation infeasible at every horizon; some job cannot "
-                    "be placed"
-                )
-            return t_above
-        # Find the smallest breakpoint index at which the LP becomes feasible.
-        feasible_points: Dict[Fraction, Dict] = {points[hi_idx]: top_point}
-        while lo_idx < hi_idx:
-            mid = (lo_idx + hi_idx) // 2
-            mid_point = session.probe(points[mid])
-            if mid_point is not None:
-                feasible_points[points[mid]] = mid_point
-                hi_idx = mid
-            else:
-                lo_idx = mid + 1
-        anchor = points[lo_idx]
-        anchor_point = session.keyed_point(feasible_points.get(anchor))
-        # Below `anchor`, R is strictly smaller.  The optimum lies either in
-        # the previous bracket [prev, anchor) with R(prev), or at/above anchor
-        # with R(anchor).
-        candidates: List[Fraction] = []
-        if lo_idx > 0:
-            prev = points[lo_idx - 1]
-            # The anchor's feasible point, restricted to R(prev)'s variables
-            # (absent keys are dropped and counted by the solver), with
-            # ``T = anchor`` is the best available seed: often feasible for
-            # the previous bracket's LP, and its support still crashes most
-            # of the basis when it is not.
-            prev_warm = None
-            if anchor_point:
-                prev_warm = dict(anchor_point)
-                prev_warm[T_KEY] = anchor
-            t_prev = _min_T_with_fixed_R(
-                instance, prev, prev, backend, builder=builder,
-                warm_values=prev_warm,
-            )
-            if t_prev is not None and t_prev < anchor:
-                candidates.append(t_prev)
-        t_here = _min_T_with_fixed_R(
-            instance, anchor, anchor, backend, builder=builder,
-            warm_values=anchor_point,
-            warm_state=session.keyed_state(),
-        )
-        if t_here is not None:
-            candidates.append(t_here)
-        if not candidates:  # pragma: no cover - guarded by the binary search
-            raise InfeasibleError("bracket search failed to certify feasibility")
-        return min(candidates)
+    return _search_minimal_T(builder, backend)

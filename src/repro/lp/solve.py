@@ -304,69 +304,25 @@ def feasible_point_rows(
     return (result.x, None, state) if want_state else (result.x, None)
 
 
-def feasible_point(
-    lp: LinearProgram,
-    backend: str = "exact",
-    warm_values: Optional[Mapping[VarKey, Fraction]] = None,
-    warm_state: Optional[WarmState] = None,
-    want_state: bool = False,
-):
+def feasible_point(lp: LinearProgram, backend: str = "exact") -> Optional[Dict]:
     """An **exactly certified** feasible point of *lp*, or ``None``.
 
-    This is the cheap primitive behind feasibility probes (the binary search
-    of ``minimal_fractional_T`` fires hundreds of them).  With the hybrid
-    backend, a rationalized HiGHS point that passes the exact re-check is
-    returned directly — no exact pivoting at all; the point is feasible but
-    not necessarily basic, which is all a feasibility verdict needs.  Every
-    other path (check fails, float says infeasible, non-hybrid backend)
-    falls through to a certified solve, warm-started from *warm_values*
-    (e.g. the bracketing probe's point) when given.
-
-    With ``backend="scipy"`` the point is re-checked exactly as well, and
-    rejected (exact re-solve) instead of propagated when uncertified.
-
-    *warm_state* is a keyed :class:`~repro.lp.warm.WarmState` (as returned
-    with ``want_state=True``); when its basis resolves the solver skips the
-    push/phase-1 machinery entirely.  With ``want_state=True`` the return
-    becomes ``(point_dict_or_None, state_or_None)``.
+    The keyed form of :func:`feasible_point_rows`, which every backend goes
+    through: with ``"hybrid"`` or ``"scipy"``, a rationalized HiGHS point
+    that passes the exact re-check is returned directly — no exact pivoting
+    at all; the point is feasible but not necessarily basic, which is all a
+    feasibility verdict needs.  Every other path (check fails, float says
+    infeasible, program below the float size cutoff, ``"exact"``) falls
+    through to a certified exact solve.
     """
-    from .hybrid import _FLOAT_SIZE_CUTOFF
-
     backend = _resolve_backend(backend)
-    size = lp.num_variables * max(lp.num_constraints, 1)
-    if backend == "hybrid" and size < _FLOAT_SIZE_CUTOFF:
-        backend = "exact"  # linprog overhead exceeds a cold exact solve
-    local_state = _local_warm_state(lp, warm_state)
-    if warm_state is not None and local_state is None and not warm_values:
-        warm_values = warm_state.point  # stale basis: keep the vertex
-    warm_pt, drops = _warm_point(lp, warm_values)
-    coeff_rows, senses, rhs, objective = lp.to_standard_rows()
-    state = None
-    if backend in ("hybrid", "scipy"):
-        point, _farkas, state = feasible_point_rows(
-            coeff_rows, senses, rhs, lp.num_variables,
-            backend=backend, warm_point=warm_pt,
-            warm_state=local_state, want_state=True,
-        )
-        _count_warm_drops(drops, None)
-    else:
-        result = solve_standard(
-            coeff_rows, senses, rhs, objective,
-            warm_point=warm_pt,
-            warm_state=local_state, canonical=False,
-        )
-        _count_warm_drops(drops, result.stats)
-        if result.status == "optimal":
-            point = result.x
-            state = getattr(result, "warm_state", None)
-        else:
-            point = None
+    coeff_rows, senses, rhs, _objective = lp.to_standard_rows()
+    point, _farkas = feasible_point_rows(
+        coeff_rows, senses, rhs, lp.num_variables, backend=backend
+    )
     if point is None:
-        return (None, None) if want_state else None
-    values = {key: point[lp.index_of(key)] for key in lp.variable_keys}
-    if not want_state:
-        return values
-    return values, _keyed_warm_state(lp, state)
+        return None
+    return {key: point[lp.index_of(key)] for key in lp.variable_keys}
 
 
 def is_feasible(lp: LinearProgram, backend: str = "exact") -> bool:

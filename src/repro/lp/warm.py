@@ -5,8 +5,8 @@ expensive artifact — the factorized basis — still died inside each solve.
 :class:`WarmState` is that artifact made first-class: the final
 :class:`~repro.lp.basis.LUBasis`, the basic set (as stable *labels*, not
 raw column indices), the optimal vertex and optionally a Farkas
-certificate, packaged so it can travel between binary-search probes, the
-min-T re-solve, memory-model probes and iterative-rounding iterations.
+certificate, packaged so it can travel between the probes of one
+binary search and between iterative-rounding iterations.
 
 Labels
 ------

@@ -178,9 +178,10 @@ def _old_min_T_lp(builder, r_anchor, t_low):
         if j not in by_job:
             return None
         lp.add_constraint({("x", alpha, j): 1 for alpha in by_job[j]}, "==", 1)
-    for alpha in builder.instance.family.sets:
+    for alpha, entries in builder.load_template_idx:
         coeffs = {T_KEY: -len(alpha)}
-        for beta, j, p in builder.load_template[alpha]:
+        for gi, p in entries:
+            j, beta, _p = builder.finite[gi]
             if p <= r_anchor:
                 coeffs[("x", beta, j)] = p
         lp.add_constraint(coeffs, "<=", 0)

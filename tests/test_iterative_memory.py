@@ -243,6 +243,39 @@ class TestSelfCertification:
         assert result.certified_limits == {"r": Fraction(2)}
 
 
+def _e10_draws():
+    """Model 1 inputs from E10's budgeted generator, a few seeds."""
+    from repro.experiments.e10_memory_model1 import _budgeted_instance
+
+    shapes = (("semi", 6, 2), ("semi", 8, 4), ("clustered", 8, 4))
+    return [
+        _budgeted_instance(rng_from_seed(seed), kind, n, m)
+        for seed, (kind, n, m) in enumerate(shapes, start=100)
+    ]
+
+
+def _e11_draws():
+    """Model 2 inputs from E11's uniform trees, a few seeds.
+
+    Sizes are drawn from [1/2, 1] rather than E11's [1/8, 1/2], so that
+    rows (9) move T* above (IP-3)'s on every draw.
+    """
+    from repro.experiments.e11_memory_model2 import _uniform_tree
+    from repro.workloads.generators import monotone_instance
+
+    draws = []
+    for seed, m, n, mu in ((110, 4, 6, 2), (113, 4, 8, 2), (114, 8, 16, Fraction(5, 4))):
+        rng = rng_from_seed(seed)
+        inst = monotone_instance(rng, _uniform_tree(m, 2), n=n)
+        sizes = [Fraction(int(rng.integers(4, 9)), 8) for _ in range(n)]
+        draws.append((inst, sizes, mu))
+    return draws
+
+
+#: Below every minimal horizon of the tests' inputs by a hair.
+_HAIR = Fraction(1, 10**9)
+
+
 @pytest.fixture
 def memory_instance():
     return Instance.semi_partitioned(
@@ -265,13 +298,14 @@ class TestModel1:
         assert report.valid
 
     def test_lp_feasibility_monotone_in_T(self, memory_instance):
-        space = [[1, 1]] * 4
-        budgets = {0: 2, 1: 2}
-        T = minimal_model1_T(memory_instance, space, budgets)
-        assert model1_lp_feasible(memory_instance, space, budgets, T)
-        assert not model1_lp_feasible(
-            memory_instance, space, budgets, T - Fraction(1, 2)
-        )
+        """The search's T* is the LP's threshold, by the independent
+        ``LinearProgram`` path, and does not depend on the backend."""
+        draws = [(memory_instance, [[1, 1]] * 4, {0: 2, 1: 2})] + _e10_draws()
+        for inst, space, budgets in draws:
+            T = minimal_model1_T(inst, space, budgets)
+            assert minimal_model1_T(inst, space, budgets, backend="exact") == T
+            assert model1_lp_feasible(inst, space, budgets, T)
+            assert not model1_lp_feasible(inst, space, budgets, T - _HAIR)
 
     def test_oversized_footprint_pruned(self, memory_instance):
         # A job whose footprint exceeds every budget cannot be placed.
@@ -279,6 +313,8 @@ class TestModel1:
         budgets = {0: 2, 1: 2}
         with pytest.raises(InfeasibleError):
             solve_model1(memory_instance, space, budgets, 10)
+        with pytest.raises(InfeasibleError):
+            minimal_model1_T(memory_instance, space, budgets)
 
     def test_global_mask_charges_all_machines(self):
         # One job forced global: its footprint counts on both machines.
@@ -350,6 +386,16 @@ class TestModel2:
         T = minimal_model2_T(tree_instance, sizes, Fraction(3, 2))
         result = solve_model2(tree_instance, sizes, Fraction(3, 2), T)
         assert root not in result.capacities
+
+    def test_lp_feasibility_monotone_in_T(self, tree_instance):
+        """As for Model 1: T* is the threshold of the independent LP path,
+        identical under both certified backends."""
+        draws = [(tree_instance, [Fraction(1, 2)] * 4, 2)] + _e11_draws()
+        for inst, sizes, mu in draws:
+            T = minimal_model2_T(inst, sizes, mu)
+            assert minimal_model2_T(inst, sizes, mu, backend="exact") == T
+            assert model2_lp_feasible(inst, sizes, mu, T)
+            assert not model2_lp_feasible(inst, sizes, mu, T - _HAIR)
 
     def test_job_size_above_one_rejected(self, tree_instance):
         with pytest.raises(InvalidInstanceError):

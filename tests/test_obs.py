@@ -306,6 +306,8 @@ class TestByteIdentity:
         root = [sp for sp in tracer.spans
                 if sp.name == "search.minimal_fractional_T"]
         assert len(root) == 1
+        # The anchor needs no LP: only the bracket below it may be solved.
+        assert sum(sp.name == "search.min_T" for sp in tracer.spans) <= 1
         # The search root aggregates exactly the scope's solve counters.
         assert root[0].stats.solves == traced.solves
         assert root[0].stats.pivots == traced.pivots

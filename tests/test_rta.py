@@ -216,6 +216,27 @@ def _assert_prefilter_identity(inst, **kwargs):
         assert with_pf == without
 
 
+def _assert_fast_path_sound(inst, **kwargs):
+    fast = _witness_outcome(inst, analytic_witness=True, **kwargs)
+    exact = _witness_outcome(inst, prefilter=False, **kwargs)
+    if fast is GAVE_UP or exact is not GAVE_UP:
+        # Fast path and search agree on *whether* a witness exists, or
+        # both gave up.
+        assert (fast is None) == (exact is None)
+        assert (fast is GAVE_UP) == (exact is GAVE_UP)
+    elif fast is None:
+        # Only an analytic refutation answers without searching.
+        verdict = analytic_schedulable(inst, "hierarchical", T_REF)
+        assert verdict.status == UNSCHEDULABLE
+    if fast is not None and fast is not GAVE_UP:
+        # Any fast-path witness is itself IP-2 feasible; against a search
+        # that gave up, that is the whole check.
+        restricted = restrict_instance(
+            inst, restricted_family_for(inst, "hierarchical")
+        )
+        assert verify_ip2(restricted, fast, T_REF).feasible
+
+
 class TestPrefilter:
     @_SETTINGS
     @given(st.integers(0, 10**6), st.sampled_from([0.6, 0.95, 1.05]))
@@ -227,26 +248,18 @@ class TestPrefilter:
     def test_prefilter_identity_when_both_searches_give_up(self):
         """Regression: at ``seed=293, u=0.95`` the analytic verdict is
         UNKNOWN and both searches exhaust their node limit; giving up on
-        both sides is the same outcome, not an error."""
+        both sides is the same outcome, not an error — for the pre-filter
+        and for the analytic-witness fast path alike."""
         inst = _workload(293, 0.95).with_singletons()
         assert analytic_schedulable(inst, "hierarchical", T_REF).status == UNKNOWN
         assert _witness_outcome(inst, node_limit=10_000) == GAVE_UP
         _assert_prefilter_identity(inst, node_limit=10_000)
+        _assert_fast_path_sound(inst, node_limit=10_000)
 
     @_SETTINGS
     @given(st.integers(0, 10**6), st.sampled_from([0.6, 0.95]))
     def test_analytic_witness_fast_path_is_sound(self, seed, u):
-        inst = _workload(seed, u).with_singletons()
-        witness = witness_within(inst, T_REF, analytic_witness=True)
-        exact = witness_within(inst, T_REF, prefilter=False)
-        # Fast path and search agree on *whether* a witness exists…
-        assert (witness is None) == (exact is None)
-        # …and any fast-path witness is itself IP-2 feasible.
-        if witness is not None:
-            restricted = restrict_instance(
-                inst, restricted_family_for(inst, "hierarchical")
-            )
-            assert verify_ip2(restricted, witness, T_REF).feasible
+        _assert_fast_path_sound(_workload(seed, u).with_singletons())
 
 
 class TestE15Regressions:
