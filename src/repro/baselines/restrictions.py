@@ -24,6 +24,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .._fraction import INF, is_inf
 from ..core.approx import TwoApproxResult, two_approximation
+from ..core.assignment import Assignment
 from ..core.instance import Instance
 from ..core.laminar import LaminarFamily, MachineSet
 from ..exceptions import InfeasibleError, InvalidFamilyError
@@ -96,17 +97,17 @@ def restricted_family_for(instance: Instance, scheduler_class: str) -> List[Mach
     raise InvalidFamilyError(f"unknown scheduler class {scheduler_class!r}")
 
 
-def exact_schedulable_within(
+def restricted_witness(
     instance: Instance,
     scheduler_class: str,
     T,
     node_limit: int = 2_000_000,
-) -> bool:
-    """Exact ground truth for the schedulability studies (E15, E19).
+) -> Optional[Assignment]:
+    """The exact witness search within the class's restricted family.
 
-    ``True`` iff an assignment with makespan ≤ *T* exists within the
-    class's restricted family.  Structural inapplicability of the class
-    (:class:`InvalidFamilyError`) counts as ``False`` — a class losing
+    The first assignment with makespan ≤ *T* over the sets the class may
+    use, or ``None`` when there is none.  Structural inapplicability of the
+    class (:class:`InvalidFamilyError`) counts as ``None`` — a class losing
     instances is the phenomenon the comparisons measure — but a
     :class:`~repro.exceptions.SolverError` (node-limit blowup) propagates:
     "the search gave up" must never be tabulated as "not schedulable".
@@ -114,11 +115,24 @@ def exact_schedulable_within(
     try:
         sets = restricted_family_for(instance, scheduler_class)
     except InvalidFamilyError:
-        return False
-    restricted = restrict_instance(instance, sets)
+        return None
+    # Looked up per call, so a wrapper installed on the module sees it.
     from ..core.exact import find_assignment_within
 
-    return find_assignment_within(restricted, T, node_limit=node_limit) is not None
+    return find_assignment_within(
+        restrict_instance(instance, sets), T, node_limit=node_limit
+    )
+
+
+def exact_schedulable_within(
+    instance: Instance,
+    scheduler_class: str,
+    T,
+    node_limit: int = 2_000_000,
+) -> bool:
+    """Exact ground truth for the schedulability studies (E15, E19):
+    whether :func:`restricted_witness` finds a witness."""
+    return restricted_witness(instance, scheduler_class, T, node_limit) is not None
 
 
 @dataclass

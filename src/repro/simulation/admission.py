@@ -175,18 +175,14 @@ def witness_within(
       search would pick, so the default keeps the exact search for
       byte-identical templates.
     * otherwise → fall through to
-      :func:`repro.core.exact.find_assignment_within` on the restricted
-      instance, whose result is identical with and without the pre-filter.
+      :func:`repro.baselines.restrictions.restricted_witness`, the exact
+      search on the restricted instance, whose result is identical with and
+      without the pre-filter.
 
     A :class:`~repro.exceptions.SolverError` from the exact search
     propagates — callers decide whether "gave up" is tabulated.
     """
-    from ..baselines.restrictions import (
-        restrict_instance,
-        restricted_family_for,
-    )
-    from ..core.exact import find_assignment_within
-    from ..exceptions import InvalidFamilyError
+    from ..baselines.restrictions import restricted_witness
     from ..rta import SCHEDULABLE, UNSCHEDULABLE, analytic_schedulable
 
     with trace_span(
@@ -204,12 +200,7 @@ def witness_within(
                 if sp:
                     sp.attrs["fast_path"] = True
                 return verdict.assignment
-        try:
-            sets = restricted_family_for(instance, scheduler_class)
-        except InvalidFamilyError:
-            return None
-        restricted = restrict_instance(instance, sets)
-        return find_assignment_within(restricted, T_ref, node_limit=node_limit)
+        return restricted_witness(instance, scheduler_class, T_ref, node_limit)
 
 
 def _template_pieces(

@@ -69,6 +69,24 @@ class TestSolveExact:
         hinted = solve_exact(instance_ii1, upper_bound=10)
         assert plain.optimum == hinted.optimum
 
+    def test_upper_bound_is_inclusive(self):
+        # The 2-approximation's makespan is optimal on this draw; passing it
+        # as the bound must still find the optimum.
+        inst = random_hierarchical(rng_from_seed(1), n=6, m=4)
+        makespan = two_approximation(inst).makespan
+        plain = solve_exact(inst)
+        assert plain.optimum == makespan
+        hinted = solve_exact(inst, upper_bound=makespan)
+        assert hinted.optimum == plain.optimum
+        assert hinted.assignment == plain.assignment
+        assert hinted.nodes_explored <= plain.nodes_explored
+
+    def test_upper_bound_below_optimum_raises(self):
+        inst = random_hierarchical(rng_from_seed(1), n=6, m=4)
+        opt = solve_exact(inst).optimum
+        with pytest.raises(InfeasibleError):
+            solve_exact(inst, upper_bound=opt - Fraction(1, 10**9))
+
     def test_infeasible_job_raises(self):
         from repro import INF
 
@@ -218,3 +236,140 @@ class TestEdgeCases:
         )
         exact = solve_exact(inst)
         assert exact.optimum == 8  # two per machine; migration buys nothing
+
+
+#: E18 draws (root seed 180, T = 12, hierarchical family) and the exact
+#: number of nodes the decide-mode search enters on each, with its result:
+#: ``None`` or the witness's mask per job.
+_PINNED_DRAWS = [
+    (("smp2x2x2", "jittered", 0.95, 0), 6438, None),
+    (
+        ("smp2x2x2", "jittered", 0.95, 3),
+        39184,
+        [(7,), (0, 1, 2, 3, 4, 5, 6, 7), (6,), (0, 1, 2, 3, 4, 5, 6, 7),
+         (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7),
+         (0, 1, 2, 3, 4, 5, 6, 7), (7,), (0, 1, 2, 3, 4, 5, 6, 7), (0,),
+         (0, 1, 2, 3, 4, 5, 6, 7), (4,), (2,), (5,), (0, 1), (2, 3), (1,),
+         (0,), (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7),
+         (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7), (0, 1)],
+    ),
+    (
+        ("smp2x2x2", "synchronous", 0.95, 8),
+        1951,
+        [(0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7), (6, 7),
+         (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7), (5,), (0, 1),
+         (0, 1, 2, 3, 4, 5, 6, 7), (3,), (2,), (4, 5),
+         (0, 1, 2, 3, 4, 5, 6, 7), (0, 1, 2, 3, 4, 5, 6, 7), (7,), (5,),
+         (0, 1, 2, 3, 4, 5, 6, 7), (2, 3), (2, 3), (0, 1, 2, 3, 4, 5, 6, 7),
+         (0,), (1,), (0, 1), (0,), (0, 1, 2, 3, 4, 5, 6, 7)],
+    ),
+    (
+        ("clustered4x2", "sporadic", 0.95, 3),
+        2109,
+        [(0,), (2,), (0,), (0, 1, 2, 3), (2, 3), (0, 1, 2, 3), (0, 1), (0,),
+         (0, 1, 2, 3), (1,), (0, 1, 2, 3)],
+    ),
+]
+
+
+class TestDecideNodeCounts:
+    """The witness search's node count is pinned through ``node_limit``:
+    the search finishes within exactly N nodes and gives up at N - 1."""
+
+    @pytest.mark.parametrize("draw,nodes,expected", _PINNED_DRAWS)
+    def test_exact_node_count(self, draw, nodes, expected):
+        from repro.baselines.restrictions import restrict_instance, restricted_family_for
+        from repro.core.exact import find_assignment_within
+        from repro.workloads import derive_seed
+        from repro.workloads.families import make_topology
+        from repro.workloads.generators import utilization_workload
+
+        topology, arrivals, u, trial = draw
+        seed = derive_seed(180, "e18", topology, arrivals, str(u), trial)
+        ext = utilization_workload(
+            rng_from_seed(seed), make_topology(topology).family, u, 12
+        ).with_singletons()
+        inst = restrict_instance(ext, restricted_family_for(ext, "hierarchical"))
+        witness = find_assignment_within(inst, 12, node_limit=nodes)
+        if expected is None:
+            assert witness is None
+        else:
+            assert [tuple(sorted(witness[j])) for j in range(inst.n)] == expected
+        with pytest.raises(SolverError):
+            find_assignment_within(inst, 12, node_limit=nodes - 1)
+
+
+def _mixed_denominators() -> Instance:
+    third, seventh, eleventh = Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)
+    return Instance.clustered(
+        2,
+        p_local=[[7 * third, 5 * seventh, 2, 13 * eleventh],
+                 [3, 10 * third, 17 * seventh, 4],
+                 [20 * eleventh, 2, 5 * third, 12 * seventh],
+                 [1, 8 * seventh, 1, 19 * eleventh]],
+        p_cluster=[[8 * third, 3], [26 * seventh, 4], [25 * eleventh, 2], [13 * seventh, 2]],
+        p_global=[3, 5, 3, 3],
+    )
+
+
+def _halves_on_pairs() -> Instance:
+    # Denominators that share a factor with a set size: loads of the
+    # 2-machine set are quarters although every time is a half.
+    half = Fraction(1, 2)
+    return Instance.semi_partitioned(
+        p_local=[[3 * half, 1], [2, 3], [3, 3]], p_global=[3 * half, 3, 4]
+    )
+
+
+def _huge_time() -> Instance:
+    return Instance.semi_partitioned(
+        p_local=[[2**62, 2**62], [5, 2**62], [Fraction(7, 3), 4]],
+        p_global=[2**62, 2**62, 6],
+    )
+
+
+def _zero_volume() -> Instance:
+    return Instance.semi_partitioned(
+        p_local=[[0, 0], [0, 3], [2, 2], [0, 0]], p_global=[0, 4, 3, 0]
+    )
+
+
+def _single_machine() -> Instance:
+    return Instance.unrelated([[Fraction(5, 3)], [Fraction(2, 7)], [4]])
+
+
+def _all_zero() -> Instance:
+    return Instance.identical(3, [0, 0])
+
+
+class TestIntegerScaling:
+    """The search scales times and horizons to integers; its optimum and
+    witnesses must agree with the independent (IP-3) ILP oracle."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _mixed_denominators,
+            _halves_on_pairs,
+            _huge_time,
+            _zero_volume,
+            _single_machine,
+            _all_zero,
+        ],
+    )
+    def test_agrees_with_ilp_oracle(self, build):
+        from repro import min_T_for_assignment
+        from repro.core.exact import find_assignment_within
+        from repro.core.exact_ilp import solve_exact_ilp
+
+        inst = build()
+        opt = solve_exact(inst).optimum
+        assert opt == solve_exact_ilp(inst).optimum
+        witness = find_assignment_within(inst, opt)
+        assert witness is not None
+        assert min_T_for_assignment(inst, witness) <= opt
+        assert find_assignment_within(inst, opt - Fraction(1, 10**9)) is None
+
+    def test_fractional_optimum_of_mixed_denominators(self):
+        opt = solve_exact(_mixed_denominators()).optimum
+        assert opt.denominator > 1
