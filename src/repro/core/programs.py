@@ -29,6 +29,13 @@ is **incremental** end to end:
   HiGHS slices it to its active columns and converts only the right-hand
   sides (:meth:`IP3Builder.float_program`).  HiGHS receives input bit-identical
   to marshaling the probe's own rows, so every verdict is unchanged;
+* the breakpoints below the first one that passes the LP-valid demand tests
+  of :mod:`repro.rta.demand` cost no LP at all: one combinatorial Farkas
+  vector (:meth:`IP3Builder.demand_bracket`), checked exactly against the
+  probe rows just below that breakpoint, refutes them all, since LP
+  feasibility is monotone in ``T``.  The first survivor is probed first,
+  and on the ``approx`` shapes it is the anchor, so the search makes one
+  probe solve;
 * successive probes reuse the bracketing probes' outcomes: a still-valid
   feasible point answers a "yes" probe after one ``O(nnz)`` exact re-check,
   a still-valid Farkas certificate answers a "no" probe the same way, and
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .._fraction import is_inf, to_fraction
@@ -170,6 +178,100 @@ class IP3Builder:
             default=-1,
         )
         self._float_template = None
+
+    def demand_bracket(self) -> Tuple[int, Optional[Tuple[str, List[Fraction]]]]:
+        """First horizon rank the LP-valid demand tests pass, plus a refutation.
+
+        Returns ``(k, refutation)``: *k* is the smallest rank
+        ``≥ placement_rank`` at which the ``demand-bound`` and
+        ``total-volume`` tests of :mod:`repro.rta.demand` pass over this
+        builder's own pairs (``len(breakpoints)`` when they fail at every
+        rank), and *refutation* is ``(test, y)`` with ``y`` a Farkas vector
+        over ``probe_rows(breakpoints[k - 1])``'s rows, or ``None`` when
+        ``k == placement_rank`` (the rank below is structurally infeasible).
+
+        From ``placement_rank`` on every job's cheapest pair is admitted,
+        so its cheapest time ``c_j`` no longer moves; job *j* is *trapped*
+        in ``β`` at rank *k* while none of its pairs of rank ``≤ k`` lies
+        outside ``β``.  Every column of the vector is ``≤ 0``:
+
+        * demand-bound at ``β`` — ``-1`` on ``β``'s load row, ``+c_j`` on
+          the assignment row of each job trapped in ``β``: a trapped job's
+          columns all sit in ``β``'s load row, so each gets
+          ``c_j - p ≤ 0``; an untrapped job's columns get ``-p`` or 0.  The
+          gain is ``D(β) - |β|·T``, positive when the test fails;
+        * total volume — ``-1`` on every root's load row, ``+c_j`` on every
+          assignment row: each column lies under exactly one root.
+
+        Fixed rows get 0.  The heavy-singleton pigeonhole test is not used:
+        it holds only for integral assignments.  Demand is non-increasing
+        in ``T`` (traps only widen) and capacity increasing, so a test that
+        passes at a rank passes above it, and *k* is a binary search.
+        """
+        points = self.breakpoints
+        start = max(self.placement_rank, 0)
+        if start >= len(points):
+            return start, None
+        n = self.instance.n
+        finite = self.finite
+        rank = self.var_rank
+        by_rank = [sorted(gis, key=rank.__getitem__) for gis in self.assign_template]
+        cheapest = [self.var_p[gis[0]] for gis in by_rank]
+        # The tests compare on integers: every time scaled by one lcm.
+        scale = lcm(*(p.denominator for p in points))
+        cap = [p.numerator * (scale // p.denominator) for p in points]
+        cost = [c.numerator * (scale // c.denominator) for c in cheapest]
+        # Per load row: (escape rank, job) for every job with a pair inside
+        # β, the escape rank being that of its cheapest-ranked pair outside
+        # β — the job is trapped in β at exactly the ranks below it.
+        trapped: List[List[Tuple[int, int]]] = []
+        for _alpha, entries in self.load_template_idx:
+            inside = {gi for gi, _p in entries}
+            escapes = []
+            for j in {finite[gi][0] for gi in inside}:
+                escape = next(
+                    (rank[gi] for gi in by_rank[j] if gi not in inside), len(points)
+                )
+                escapes.append((escape, j))
+            trapped.append(escapes)
+        sizes = [len(alpha) for alpha, _entries in self.load_template_idx]
+        roots = [
+            b for b, (alpha, _e) in enumerate(self.load_template_idx)
+            if self.instance.family.parent(alpha) is None
+        ]
+        volume = sum(cost)
+        root_size = sum(sizes[b] for b in roots)
+
+        def violated(k: int) -> Optional[Tuple[str, int]]:
+            """The first failing test at rank *k*: ``(test, load row)``."""
+            for b, escapes in enumerate(trapped):
+                if sum(cost[j] for e, j in escapes if e > k) > sizes[b] * cap[k]:
+                    return "demand-bound", b
+            if volume > root_size * cap[k]:
+                return "total-volume", -1
+            return None
+
+        lo, hi = start, len(points)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if violated(mid) is None:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == start:
+            return lo, None
+        test, b = violated(lo - 1)
+        y = [Fraction(0)] * (n + len(self.load_template_idx) + len(self.fixed_template_idx))
+        if test == "demand-bound":
+            y[n + b] = Fraction(-1)
+            for e, j in trapped[b]:
+                if e > lo - 1:
+                    y[j] = cheapest[j]
+        else:
+            for r in roots:
+                y[n + r] = Fraction(-1)
+            y[:n] = cheapest
+        return lo, (test, y)
 
     def horizon_rank(self, T: Fraction) -> int:
         """Index of the largest breakpoint ``≤ T`` (``-1`` below them all)."""
@@ -412,6 +514,25 @@ class _ProbeSession:
                 probe_sp.attrs["outcome"] = "solved-infeasible"
             return None
 
+    def refute(self, T: Fraction, test: str, y: List[Fraction]) -> bool:
+        """Check the demand vector *y* against the probe rows at *T*.
+
+        A vector that certifies is recorded as a ``demand_refutations``
+        probe and seeds the carried certificate; one that does not is
+        reported (``False``) and never used.
+        """
+        with trace_span("search.probe", T=str(T), test=test) as probe_sp:
+            coeff_rows, senses, rhs, _active = self.builder.probe_rows(T)
+            if not farkas_certifies(coeff_rows, senses, rhs, y):
+                if probe_sp:
+                    probe_sp.attrs["outcome"] = "demand-rejected"
+                return False
+            record(SolverStats(demand_refutations=1))
+            self.farkas = list(y)
+            if probe_sp:
+                probe_sp.attrs["outcome"] = "demand-refuted"
+            return True
+
     def keyed_point(self, gpoint: Dict[int, Fraction]) -> Dict:
         """A global-index point as ``("x", α, j)``-keyed LP warm values."""
         finite = self.builder.finite
@@ -552,9 +673,24 @@ def _search_minimal_T(builder: IP3Builder, backend: str) -> Fraction:
     """The minimum horizon at which *builder*'s LP relaxation is feasible.
 
     Binary search over ``builder.breakpoints`` (non-empty), then at most
-    one min-T LP.  The probes run through :class:`_ProbeSession`, so
-    consecutive probes reuse each other's feasible points and Farkas
-    certificates and only a handful of them pay for an actual LP solve.
+    one min-T LP.  The search is sound because LP feasibility is monotone
+    in ``T``: raising ``T`` only adds columns (``R(T)`` grows) and only
+    loosens the load bounds ``|α|·T``, so a point feasible at one horizon
+    stays feasible above it, and a horizon refuted is refuted below.
+
+    The lower bracket comes from :meth:`IP3Builder.demand_bracket`: the
+    first rank *k* the demand tests pass, with a Farkas vector for rank
+    ``k - 1``.  The vector is trusted only after
+    :func:`~repro.lp.certificates.farkas_certifies` accepts it against
+    that probe's own rows (``yᵀA ≤ 0`` column-wise and ``yᵀb > 0`` prove
+    the rows empty), and by monotonicity it then refutes every
+    breakpoint below *k* with no LP.  ``breakpoints[k]`` is probed first:
+    when it is feasible it is the anchor and the search is over; when not,
+    the binary search runs over ``(k, top]``, its solved certificate
+    carrying upward.  A vector that fails its check is a bug: the search
+    falls back to ``lo = 0`` and records the reason as ``demand`` on its
+    span.  The probes run through :class:`_ProbeSession`, so consecutive
+    probes reuse each other's feasible points and Farkas certificates.
 
     The anchor — the smallest breakpoint whose probe is feasible — needs
     no LP of its own: with ``R(anchor)`` and ``T ≥ anchor`` the optimum is
@@ -567,10 +703,27 @@ def _search_minimal_T(builder: IP3Builder, backend: str) -> Fraction:
     with trace_span(
         "search.minimal_fractional_T",
         n=builder.instance.n, backend=backend, breakpoints=len(points),
-    ):
+    ) as search_sp:
         session = _ProbeSession(builder, backend)
-        lo_idx, hi_idx = 0, len(points) - 1
-        anchor_point = session.probe(points[hi_idx])
+        lo_idx, refutation = builder.demand_bracket()
+        if refutation is not None:
+            test, y = refutation
+            if not session.refute(points[lo_idx - 1], test, y):
+                if search_sp:
+                    search_sp.attrs["demand"] = (
+                        f"rejected: {test} vector does not certify "
+                        f"T={points[lo_idx - 1]}"
+                    )
+                lo_idx = 0
+        hi_idx = len(points) - 1
+        anchor_point = None
+        if lo_idx <= hi_idx:
+            anchor_point = session.probe(points[lo_idx])
+            if anchor_point is not None:
+                hi_idx = lo_idx
+            elif lo_idx < hi_idx:
+                lo_idx += 1
+                anchor_point = session.probe(points[hi_idx])
         if anchor_point is None:
             # The optimum lies above every processing time (the load bound
             # dominates); R is maximal there, so one min-T LP settles it.

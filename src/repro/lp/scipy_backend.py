@@ -36,6 +36,7 @@ from scipy.sparse import csr_array
 from .._fraction import rationalize
 from ..exceptions import SolverError
 from .simplex import SimplexResult
+from .stats import SolverStats, record
 
 #: Values within this distance of an integer are snapped during rationalization.
 _SNAP_EPS = 1e-9
@@ -155,6 +156,7 @@ class FloatTemplate:
 
 def run_highs(program: FloatProgram):
     """The one ``linprog`` call; returns scipy's ``OptimizeResult``."""
+    record(SolverStats(highs_calls=1))
     return linprog(
         c=program.c,
         A_ub=program.a_ub,

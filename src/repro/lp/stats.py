@@ -45,6 +45,9 @@ class SolverStats:
     outright).  ``point_reuses``/``farkas_reuses`` count binary-search
     probes answered by re-checking a cached feasible point / Farkas
     certificate instead of solving — the incremental-pipeline shortcuts.
+    ``demand_refutations`` counts probes refuted by a checked demand-bound
+    Farkas vector (:meth:`repro.core.programs.IP3Builder.demand_bracket`),
+    and ``highs_calls`` counts ``linprog`` calls of the float leg.
     """
 
     solves: int = 0
@@ -55,6 +58,8 @@ class SolverStats:
     warm_start_hits: int = 0
     point_reuses: int = 0
     farkas_reuses: int = 0
+    demand_refutations: int = 0
+    highs_calls: int = 0
     #: WarmState outcomes: ``basis_reuses`` counts solves whose starting
     #: basis came from a carried :class:`~repro.lp.warm.WarmState` (phase 1
     #: skipped); ``crash_skips`` is the subset where the factorized ``W``
@@ -115,7 +120,9 @@ class SolverStats:
                 f"  refactorizations  {self.refactorizations}",
                 f"  warm starts       {self.warm_start_hits}/{self.warm_start_attempts} hits",
                 f"  probe shortcuts   {self.point_reuses} point reuses, "
-                f"{self.farkas_reuses} Farkas reuses",
+                f"{self.farkas_reuses} Farkas reuses, "
+                f"{self.demand_refutations} demand refutations",
+                f"  HiGHS calls       {self.highs_calls}",
                 f"  basis carrying    {self.basis_reuses} reuses "
                 f"({self.crash_skips} verbatim), "
                 f"{self.warm_key_drops} warm keys dropped",

@@ -23,6 +23,11 @@ all exact Fractions:
   each need more than ``T/2`` cannot share a machine, so the heavy pinned
   jobs need at least as many distinct machines as there are such jobs.
 
+The first three bounds hold for fractional assignments as well, so
+:meth:`repro.core.programs.IP3Builder.demand_bracket` turns them into Farkas
+certificates for (IP-3)'s LP relaxation; the pigeonhole holds only for
+integral assignments and never enters the LP path.
+
 The profile is also the shared preprocessing for the constructive side
 (:mod:`repro.rta.packing`): per-job feasible options, cheapest times, and
 the demand accumulated per family set.
